@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .init import InitSpec, init_network
-from .jacobian import (attention_input_jacobian, batch_param_jacobian,
-                       mlp_input_jacobian, sa_input_jacobian)
-from .linalg import condition_number, kron, singular_values, spectral_norm, svd
+from .jacobian import (batch_param_jacobian, mlp_input_jacobian, sa_head_split,
+                       sa_input_jacobian)
+from .linalg import condition_number, singular_values, spectral_norm
 from .model import ModelConfig, network_forward, row_softmax
 
 
@@ -201,17 +201,12 @@ def perturbation_split(trace, layer: int, head: int | None = None) -> Perturbati
     summed when omitted.
     """
     cfg = trace.config
-    bp = trace.params.blocks[layer]
-    bt = trace.blocks[layer]
-    heads = range(cfg.h) if head is None else [head]
-    eye_n = np.eye(cfg.n)
     b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
     e = np.zeros_like(b)
-    for i in heads:
-        blk = bp.head_slice(i, cfg.d_h)
-        g = bp.W_V[:, blk] @ bp.W_O[blk, :]
-        b += kron(g.T, bt.attention[i])
-        e += kron((bt.x_in @ g).T, eye_n) @ attention_input_jacobian(trace, layer, i).matrix
+    for i in range(cfg.h) if head is None else [head]:
+        b_i, e_i = sa_head_split(trace, layer, i)
+        b += b_i
+        e += e_i
     sb = singular_values(b)
     b_max, b_min = float(sb[0]), float(sb[-1])
     e_norm = spectral_norm(e)
@@ -301,63 +296,6 @@ def softmax_derivative_beta_sweep(n: int, d: int, alpha: float,
         a_prime = softmax_jacobian(a) @ logits_input_jacobian(x, p, temperature)
         norms.append(spectral_norm(a_prime))
     return norms
-
-
-@dataclass(frozen=True)
-class WorstBlockReport:
-    """kappa of the full stacked parameter Jacobian next to its worst block.
-
-    The worst-block upper bound on the full condition number is only claimed
-    under low mutual coherence between blocks and near-balanced block norms;
-    outside that hypothesis the comparison is informational."""
-
-    kappa_full: float
-    kappa_max_block: float
-    rho_max: float
-    s_min_sq: float
-    tau_bal: float
-    hypothesis_satisfied: bool
-
-    @property
-    def bound_holds(self) -> bool:
-        if np.isinf(self.kappa_max_block):
-            return True
-        return self.kappa_full <= self.kappa_max_block
-
-
-def worst_block_check(params, config: ModelConfig, batch: list[np.ndarray],
-                      ) -> WorstBlockReport:
-    """Assemble the full parameter Jacobian [J_1, J-hat_1, ..., J_L, J-hat_L]
-    over a batch and compare its conditioning with the worst block's.
-
-    Measures the block coherence rho_max = max ||J_i^T J_j||_2 and the norm
-    balance across blocks; the hypothesis flag is the two-block criterion
-    rho < s_min^2 applied to the worst pair."""
-    blocks = []
-    for layer in range(config.L):
-        blocks.append(batch_param_jacobian(batch, params, config, layer,
-                                           target="attention").matrix)
-        if config.use_mlp:
-            blocks.append(batch_param_jacobian(batch, params, config, layer,
-                                               target="mlp").matrix)
-    full = np.hstack(blocks)
-    kappas = [condition_number(b).value for b in blocks]
-    svs = [singular_values(b) for b in blocks]
-    rho_max = 0.0
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            rho_max = max(rho_max, spectral_norm(blocks[i].T @ blocks[j]))
-    s_min = min(float(s[-1]) for s in svs)
-    norms = [float(s[0]) for s in svs]
-    tau_bal = max(norms) / max(min(norms), 1e-300)
-    return WorstBlockReport(
-        kappa_full=condition_number(full).value,
-        kappa_max_block=max(kappas),
-        rho_max=rho_max,
-        s_min_sq=s_min**2,
-        tau_bal=tau_bal,
-        hypothesis_satisfied=bool(rho_max < s_min**2),
-    )
 
 
 REGIMES = ("skip_default", "skipless_default", "skipless_proposed")

@@ -413,7 +413,7 @@ def _cmd_train(p: dict, seed: int, echo: dict):
                     c=p["c"], seed=seed)
     tc = TrainConfig(model=mc, init=spec, optimizer=p["optimizer"], lr=p["lr"],
                      weight_decay=p["weight_decay"], steps=p["steps"],
-                     batch_size=p["batch_size"], log_every=p["log_every"],
+                     batch_size=p["batch_size"],
                      kappa_probe_every=p["kappa_probe_every"], seed=seed)
     log = train(ds, tc)
     records = []

@@ -126,20 +126,28 @@ def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> Atte
     return AttentionDerivative(matrix=ja @ jm, layer=layer, head=head)
 
 
+def sa_head_split(trace: ForwardTrace, layer: int, head: int,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One head's terms of K = sum_i (B_i + E_i), with G_i = W_V,i W_O,i:
+    B_i = G_i^T kron A_i and E_i = ((X G_i)^T kron I_n) A'_i."""
+    cfg = trace.config
+    w_v, w_o, _ = _head_blocks(trace.params.blocks[layer], head, cfg.d_h)
+    g = w_v @ w_o
+    bt = trace.blocks[layer]
+    b = kron(g.T, bt.attention[head])
+    e = kron((bt.x_in @ g).T, np.eye(cfg.n)) @ attention_input_jacobian(trace, layer, head).matrix
+    return b, e
+
+
 def sa_input_jacobian(trace: ForwardTrace, layer: int) -> InputJacobian:
     """K for one layer: per-head ((X G_i)^T kron I_n) A'_i + G_i^T kron A_i, summed."""
     cfg = trace.config
     _check_nd(cfg.n * cfg.d)
-    bt = trace.blocks[layer]
-    bp = trace.params.blocks[layer]
-    eye_n = np.eye(cfg.n)
     total = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
     for i in range(cfg.h):
-        w_v, w_o, _ = _head_blocks(bp, i, cfg.d_h)
-        g = w_v @ w_o
-        a_prime = attention_input_jacobian(trace, layer, i).matrix
-        total += kron((bt.x_in @ g).T, eye_n) @ a_prime
-        total += kron(g.T, bt.attention[i])
+        b, e = sa_head_split(trace, layer, i)
+        total += b
+        total += e
     return InputJacobian(matrix=total, layer=layer, kind="attention")
 
 
@@ -406,8 +414,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
 
     # Input Jacobians of both sub-blocks.
     def sa_map(v):
-        out, _, _ = self_attention(unvec(v, n, d), bp, cfg)
-        return vec(out)
+        return vec(self_attention(unvec(v, n, d), bp, cfg).out)
 
     fd = finite_difference_jacobian(sa_map, vec(x0))
     results["sa_input_jacobian"] = relative_frobenius(
@@ -416,8 +423,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     from .model import mlp_forward
 
     def mlp_map(v):
-        out, _ = mlp_forward(unvec(v, n, d), bp, cfg)
-        return vec(out)
+        return vec(mlp_forward(unvec(v, n, d), bp, cfg).out)
 
     fd = finite_difference_jacobian(mlp_map, vec(trace.blocks[0].post_attention))
     results["mlp_input_jacobian"] = relative_frobenius(
@@ -430,7 +436,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
         saved = (bp.W_Q, bp.W_K, bp.W_V, bp.W_O)
         assign_attention_params(bp, theta, d)
         try:
-            out, _, _ = self_attention(x0, bp, cfg)
+            out = self_attention(x0, bp, cfg).out
         finally:
             bp.W_Q, bp.W_K, bp.W_V, bp.W_O = saved
         return vec(out)

@@ -8,13 +8,17 @@ masking.  A block maps X -> X_attn -> X_out where
 
 with the bracketed identity paths present only when skips are enabled.  The
 attention matrix of head i is the row-softmax of X W_Q,i W_K,i^T X^T divided
-by ``attention_scale``.  Forward passes record every intermediate the Jacobian
-machinery needs (per-head logits and attention, MLP pre-activations).
+by ``attention_scale``.
+
+:func:`self_attention` and :func:`mlp_forward` take (..., n, d) tokens and
+are the block's only implementation: the per-sample :func:`network_forward`,
+whose trace feeds the Jacobians, and the batched trainer both call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -87,21 +91,13 @@ class BlockParams:
 class NetworkParams:
     blocks: list[BlockParams]
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 @dataclass
 class BlockTrace:
-    """Cached intermediates of one block forward pass.
-
-    ``logits`` and ``attention`` hold one n x n matrix per head; logits are
-    already divided by the attention scale, so attention = row_softmax(logits)
-    at temperature 1.
-    """
+    """Cached intermediates of one block forward pass; ``attention`` holds one
+    n x n matrix per head."""
 
     x_in: np.ndarray
-    logits: list[np.ndarray]
     attention: list[np.ndarray]
     post_attention: np.ndarray
     mlp_pre: np.ndarray | None
@@ -120,9 +116,34 @@ class ForwardTrace:
         return self.blocks[-1].output if self.blocks else self.x0
 
 
+class Attention(NamedTuple):
+    """Output, (..., n, d) projections and one (..., n, n) attention per head."""
+
+    out: np.ndarray
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    o: np.ndarray
+    attention: list[np.ndarray]
+
+
+class MLP(NamedTuple):
+    """MLP output, pre-activation, activation and (gelu only) the GELU cdf."""
+
+    out: np.ndarray
+    pre: np.ndarray
+    act: np.ndarray
+    cdf: np.ndarray | None
+
+
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard-normal cdf Phi(x); GELU(x) = x * Phi(x)."""
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
 def activation(name: str, x: np.ndarray) -> np.ndarray:
     if name == "gelu":
-        return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        return x * gelu_cdf(x)
     if name == "relu":
         return np.maximum(x, 0.0)
     if name == "identity":
@@ -130,9 +151,11 @@ def activation(name: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_derivative(name: str, x: np.ndarray) -> np.ndarray:
+def activation_derivative(name: str, x: np.ndarray,
+                          cdf: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise derivative; for gelu, ``cdf`` = gelu_cdf(x) is reused when given."""
     if name == "gelu":
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        cdf = gelu_cdf(x) if cdf is None else cdf
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         return cdf + x * pdf
     if name == "relu":
@@ -163,46 +186,46 @@ def attention_logits(x: np.ndarray, params: BlockParams, head: int,
     return (q @ k.T) / config.attention_scale
 
 
-def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig,
-                   ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Multi-head self-attention sum_i A_i X W_V,i W_O,i.
+def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> Attention:
+    """Multi-head self-attention Concat_i(A_i X W_V,i) W_O on (..., n, d) tokens.
 
-    Returns (output, per-head logits, per-head attention matrices).  The sum
-    form is algebraically the concat-then-project form: the concatenated
-    A_i V_i picks up exactly the i-th row-block of W_O.
+    q, k and v are projected once for all heads; head i reads column-block i
+    of each.  The concatenation times W_O equals sum_i A_i X W_V,i W_O,i, the
+    head-summed form the Jacobians are written in (up to rounding for h > 1).
     """
-    out = np.zeros_like(x)
-    logits, attns = [], []
+    q = x @ params.W_Q
+    k = x @ params.W_K
+    v = x @ params.W_V
+    o = np.empty_like(v)
+    attns = []
     for i in range(config.h):
-        m = attention_logits(x, params, i, config)
-        a = row_softmax(m, 1.0)
         blk = params.head_slice(i, config.d_h)
-        out += a @ (x @ params.W_V[:, blk]) @ params.W_O[blk, :]
-        logits.append(m)
+        a = row_softmax((q[..., blk] @ k[..., blk].swapaxes(-1, -2))
+                        / config.attention_scale)
+        o[..., blk] = a @ v[..., blk]
         attns.append(a)
-    return out, logits, attns
+    return Attention(o @ params.W_O, q, k, v, o, attns)
 
 
-def mlp_forward(x: np.ndarray, params: BlockParams, config: ModelConfig,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-layer MLP with biases; returns (output, pre-activations)."""
+def mlp_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> MLP:
+    """Two-layer MLP with biases on (..., n, d) tokens."""
     pre = x @ params.mlp_W1 + params.mlp_b1
-    out = activation(config.activation, pre) @ params.mlp_W2 + params.mlp_b2
-    return out, pre
+    cdf = gelu_cdf(pre) if config.activation == "gelu" else None
+    act = pre * cdf if cdf is not None else activation(config.activation, pre)
+    return MLP(act @ params.mlp_W2 + params.mlp_b2, pre, act, cdf)
 
 
 def block_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> BlockTrace:
     """One block: attention stage then MLP stage, each with an optional skip."""
-    sa, logits, attns = self_attention(x, params, config)
-    x_attn = x + sa if config.use_skip else sa
+    sa = self_attention(x, params, config)
+    x_attn = x + sa.out if config.use_skip else sa.out
+    pre, x_out = None, x_attn
     if config.use_mlp:
-        mlp_out, pre = mlp_forward(x_attn, params, config)
-        x_out = x_attn + mlp_out if config.use_skip else mlp_out
-    else:
-        pre = None
-        x_out = x_attn
-    return BlockTrace(x_in=x, logits=logits, attention=attns,
-                      post_attention=x_attn, mlp_pre=pre, output=x_out)
+        mlp = mlp_forward(x_attn, params, config)
+        pre = mlp.pre
+        x_out = x_attn + mlp.out if config.use_skip else mlp.out
+    return BlockTrace(x_in=x, attention=sa.attention, post_attention=x_attn,
+                      mlp_pre=pre, output=x_out)
 
 
 def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) -> ForwardTrace:

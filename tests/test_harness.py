@@ -1,13 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from skiplab.harness import (Dataset, TensorFileError, TrainConfig, TrainLog,
-                             init_optimizer_state, load_tensor_file,
-                             loss_and_gradients, optimizer_step, params_digest,
-                             save_tensor_file, synth_task, train, _param_list)
+from skiplab.harness import (Dataset, FlatParams, TensorFileError, TrainConfig,
+                             TrainLog, _forward_batch, init_optimizer_state,
+                             load_tensor_file, loss_and_gradients, optimizer_step,
+                             params_digest, save_tensor_file, synth_task, train)
 from skiplab.init import InitSpec, init_network
 from skiplab.jacobian import finite_difference_jacobian
-from skiplab.model import ModelConfig
+from skiplab.model import ModelConfig, NetworkParams, network_forward
 
 
 def toy_model(**kw):
@@ -128,25 +130,44 @@ def test_tensor_file_missing(tmp_path):
 
 # --- optimizers ------------------------------------------------------------------
 
+def head_only(head_w, head_b):
+    """A flat buffer holding only a head: one matrix and one bias."""
+    return FlatParams(NetworkParams([]), np.asarray(head_w, dtype=float),
+                      np.asarray(head_b, dtype=float))
+
+
 def test_adam_zero_gradient_no_motion():
     cfg = toy_train_config(lr=0.1, weight_decay=0.0)
-    tensors = [np.ones((3, 3)), np.full(3, 2.0)]
-    grads = [np.zeros((3, 3)), np.zeros(3)]
-    state = init_optimizer_state(tensors, cfg)
-    out, _ = optimizer_step(tensors, grads, state, cfg)
-    assert np.array_equal(out[0], tensors[0])
-    assert np.array_equal(out[1], tensors[1])
+    params = head_only(np.ones((3, 3)), np.full(3, 2.0))
+    state = init_optimizer_state(params, cfg)
+    optimizer_step(params, params.zeros_like(), state, cfg)
+    assert np.array_equal(params.head_w, np.ones((3, 3)))
+    assert np.array_equal(params.head_b, np.full(3, 2.0))
 
 
 @pytest.mark.parametrize("opt", ["adam_decoupled", "sgd_momentum"])
 def test_weight_decay_only_shrinks_matrices(opt):
     cfg = toy_train_config(optimizer=opt, lr=0.1, weight_decay=0.5)
-    tensors = [np.ones((2, 2)), np.ones(2)]  # matrix decays, bias does not
-    grads = [np.zeros((2, 2)), np.zeros(2)]
-    state = init_optimizer_state(tensors, cfg)
-    out, _ = optimizer_step(tensors, grads, state, cfg)
-    assert np.allclose(out[0], (1.0 - 0.1 * 0.5) * np.ones((2, 2)), atol=1e-15)
-    assert np.array_equal(out[1], np.ones(2))
+    params = head_only(np.ones((2, 2)), np.ones(2))  # matrix decays, bias does not
+    state = init_optimizer_state(params, cfg)
+    optimizer_step(params, params.zeros_like(), state, cfg)
+    assert np.allclose(params.head_w, (1.0 - 0.1 * 0.5) * np.ones((2, 2)), atol=1e-15)
+    assert np.array_equal(params.head_b, np.ones(2))
+
+
+def _quadratic_trace(cfg, steps):
+    """Iterates of every coordinate of f(x) = x^2 from x0 = 1 (one 1x1 matrix
+    and one bias; no decay, so both follow the same trace)."""
+    params = head_only([[1.0]], [1.0])
+    grads = params.zeros_like()
+    state = init_optimizer_state(params, cfg)
+    seen = []
+    for _ in range(steps):
+        np.multiply(params.vector, 2.0, out=grads.vector)
+        optimizer_step(params, grads, state, cfg)
+        assert params.vector[0] == params.vector[1]
+        seen.append(params.head_w[0, 0])
+    return seen
 
 
 def test_adam_three_step_trace_on_quadratic():
@@ -154,83 +175,89 @@ def test_adam_three_step_trace_on_quadratic():
     betas (0.9, 0.999), eps 1e-8."""
     cfg = toy_train_config(optimizer="adam_decoupled", lr=0.1,
                            weight_decay=0.0)
-    x = [np.array([[1.0]])]
-    state = init_optimizer_state(x, cfg)
-    seen = []
-    for _ in range(3):
-        grads = [2.0 * x[0]]
-        x, state = optimizer_step(x, grads, state, cfg)
-        seen.append(x[0][0, 0])
     expected = [0.9000000005, 0.8004122286917928, 0.7015862729460303]
-    assert np.allclose(seen, expected, rtol=0, atol=1e-15)
+    assert np.allclose(_quadratic_trace(cfg, 3), expected, rtol=0, atol=1e-15)
 
 
 def test_sgd_momentum_two_steps():
     cfg = toy_train_config(optimizer="sgd_momentum", lr=0.1, weight_decay=0.0,
                            momentum=0.9)
-    x = [np.array([[1.0]])]
-    state = init_optimizer_state(x, cfg)
-    x, state = optimizer_step(x, [2.0 * x[0]], state, cfg)
+    x1, x2 = _quadratic_trace(cfg, 2)
     # v1 = 2, x1 = 1 - 0.2 = 0.8
-    assert x[0][0, 0] == pytest.approx(0.8, abs=1e-15)
-    x, state = optimizer_step(x, [2.0 * x[0]], state, cfg)
+    assert x1 == pytest.approx(0.8, abs=1e-15)
     # v2 = 0.9*2 + 1.6 = 3.4, x2 = 0.8 - 0.34 = 0.46
-    assert x[0][0, 0] == pytest.approx(0.46, abs=1e-15)
+    assert x2 == pytest.approx(0.46, abs=1e-15)
+
+
+# --- flat parameter buffer -------------------------------------------------------
+
+def test_flat_params_layout_and_digest():
+    """Tensors sit in block field order, then the head, each C order; the
+    digest of the vector is the digest of the tensors' bytes in that order."""
+    mc = toy_model()
+    net = init_network(mc, InitSpec(scheme="proposed", seed=0))
+    head_w, head_b = np.arange(24.0).reshape(8, 3), np.ones(3)
+    params = FlatParams(net, head_w, head_b)
+    order = [t for bp in net.blocks for t in (bp.W_Q, bp.W_K, bp.W_V, bp.W_O, bp.mlp_W1,
+                                              bp.mlp_b1, bp.mlp_W2, bp.mlp_b2)]
+    order += [head_w, head_b]
+    assert np.array_equal(params.vector, np.concatenate([t.ravel() for t in order]))
+    sha = hashlib.sha256(b"".join(np.ascontiguousarray(t).tobytes() for t in order))
+    assert params_digest(params.vector) == sha.hexdigest()
+    params.vector += 1.0  # every view moves with the vector
+    assert np.array_equal(params.network.blocks[1].mlp_b2, net.blocks[1].mlp_b2 + 1.0)
+    assert np.array_equal(params.head_w, head_w + 1.0)
+
+
+# --- one forward -----------------------------------------------------------------
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("use_skip", [True, False])
+def test_training_forward_is_network_forward(h, use_skip):
+    """The batched training forward and the per-sample traced forward are the
+    same computation: equal to the last bit on every sample."""
+    mc = toy_model(h=h, use_skip=use_skip)
+    params = init_network(mc, InitSpec(scheme="proposed", seed=2))
+    x = np.random.default_rng(3).standard_normal((5, mc.n, mc.d))
+    out, _ = _forward_batch(x, params, mc, use_layernorm=False)
+    for b in range(len(x)):
+        assert np.array_equal(out[b], network_forward(x[b], params, mc).output)
 
 
 # --- gradients against finite differences ----------------------------------------
 
+def _fd_gradient_error(mc, params, x, y, use_layernorm):
+    grads = params.zeros_like()
+    loss_and_gradients(params, grads, x, y, mc, use_layernorm)
+
+    def loss_at(v):
+        params.vector[:] = v
+        return np.array([loss_and_gradients(params, params.zeros_like(), x, y, mc,
+                                            use_layernorm)])
+
+    fd = finite_difference_jacobian(loss_at, params.vector.copy()).ravel()
+    return np.linalg.norm(grads.vector - fd) / np.linalg.norm(fd)
+
+
 @pytest.mark.parametrize("use_skip", [True, False])
 def test_backward_matches_fd(use_skip):
     mc = toy_model(use_skip=use_skip)
-    params = init_network(mc, InitSpec(scheme="proposed", seed=1))
+    net = init_network(mc, InitSpec(scheme="proposed", seed=1))
     rng = np.random.default_rng(2)
-    tensors = _param_list(params, 0.1 * rng.standard_normal((mc.d, 3)),
-                          np.zeros(3), True)
+    params = FlatParams(net, 0.1 * rng.standard_normal((mc.d, 3)), np.zeros(3))
     x = rng.standard_normal((3, mc.n, mc.d))
     y = np.array([0, 2, 1])
-    shapes = [t.shape for t in tensors]
-    sizes = [t.size for t in tensors]
-
-    def unpack(v):
-        out, offset = [], 0
-        for sh, sz in zip(shapes, sizes):
-            out.append(v[offset:offset + sz].reshape(sh))
-            offset += sz
-        return out
-
-    _, grads = loss_and_gradients(tensors, x, y, mc)
-    fd = finite_difference_jacobian(
-        lambda v: np.array([loss_and_gradients(unpack(v), x, y, mc)[0]]),
-        np.concatenate([t.ravel() for t in tensors])).ravel()
-    flat = np.concatenate([g.ravel() for g in grads])
-    assert np.linalg.norm(flat - fd) / np.linalg.norm(fd) < 1e-5
+    assert _fd_gradient_error(mc, params, x, y, use_layernorm=False) < 1e-5
 
 
 def test_backward_matches_fd_with_layernorm():
     mc = toy_model(use_skip=False)
-    params = init_network(mc, InitSpec(scheme="proposed", seed=3))
+    net = init_network(mc, InitSpec(scheme="proposed", seed=3))
     rng = np.random.default_rng(4)
-    tensors = _param_list(params, 0.1 * rng.standard_normal((mc.d, 3)),
-                          np.zeros(3), True)
+    params = FlatParams(net, 0.1 * rng.standard_normal((mc.d, 3)), np.zeros(3))
     x = rng.standard_normal((2, mc.n, mc.d))
     y = np.array([1, 0])
-    shapes = [t.shape for t in tensors]
-    sizes = [t.size for t in tensors]
-
-    def unpack(v):
-        out, offset = [], 0
-        for sh, sz in zip(shapes, sizes):
-            out.append(v[offset:offset + sz].reshape(sh))
-            offset += sz
-        return out
-
-    _, grads = loss_and_gradients(tensors, x, y, mc, use_layernorm=True)
-    fd = finite_difference_jacobian(
-        lambda v: np.array([loss_and_gradients(unpack(v), x, y, mc, True)[0]]),
-        np.concatenate([t.ravel() for t in tensors])).ravel()
-    flat = np.concatenate([g.ravel() for g in grads])
-    assert np.linalg.norm(flat - fd) / np.linalg.norm(fd) < 1e-5
+    assert _fd_gradient_error(mc, params, x, y, use_layernorm=True) < 1e-5
 
 
 # --- training loop ----------------------------------------------------------------
@@ -249,6 +276,42 @@ def test_train_deterministic_per_seed():
     b = train(ds, cfg)
     assert a.losses == b.losses
     assert a.final_digest == b.final_digest
+
+
+# Digest and per-step losses (float.hex) of 5 skipless steps with weight decay,
+# recorded from the list-of-tensors trainer; the flat buffer must reproduce
+# them bit for bit.
+PINNED_RUNS = {
+    ("adam_decoupled", 1): (
+        "f6a3d14fd9a08681cb71467f34d6de35716fa978238b737e7147b717bc07ef5c",
+        ["0x1.00dbc42c67514p+0", "0x1.f012271b1bec0p-2", "0x1.2e737d5bdc04ap-1",
+         "0x1.f0a13b8323491p-3", "0x1.c52945ce1558cp-5"]),
+    ("adam_decoupled", 2): (
+        "e893cc72e21c0ee78c3b84cf0af8d39b549c7e4068dcb69a52f08ca7f4f30cf7",
+        ["0x1.25d07c4cd1284p+0", "0x1.39c541ef2935ep-1", "0x1.52ce86d44733ep-1",
+         "0x1.51bbb4fbff278p-2", "0x1.19b11a2ae47d2p-4"]),
+    ("sgd_momentum", 1): (
+        "1e0a35b51626ccd7745d83f71d7e30430ab7a5a7b37a296e4e95a426446c79e4",
+        ["0x1.00dbc42c67514p+0", "0x1.a608a4657ae5ap-3", "0x1.058a9cb68cd1cp+0",
+         "0x1.53834f99500fcp-3", "0x1.cf312d0b708e4p-7"]),
+    ("sgd_momentum", 2): (
+        "b56f9cf8420804fd1f43280bb1c254604b680598ac1828c1ed465f5a9686d390",
+        ["0x1.25d07c4cd1284p+0", "0x1.6e6e219d6eae8p-2", "0x1.04dffd74fef8bp+0",
+         "0x1.c35d046f70252p-3", "0x1.d55fa855807bep-7"]),
+}
+
+
+@pytest.mark.parametrize("opt,h", sorted(PINNED_RUNS))
+def test_train_bits_pinned(opt, h):
+    mc = toy_model(h=h, use_skip=False, mlp_hidden=8)
+    ds = synth_task(4, 8, 3, 16, 0.1, seed=21)
+    cfg = TrainConfig(model=mc, init=InitSpec(scheme="proposed", seed=3),
+                      optimizer=opt, lr=1e-2, weight_decay=0.1, steps=5,
+                      batch_size=8, seed=4)
+    log = train(ds, cfg)
+    digest, losses = PINNED_RUNS[opt, h]
+    assert [float(v).hex() for v in log.losses] == losses
+    assert log.final_digest == digest
 
 
 def test_train_skip_default_loss_decreases_first_200_steps():
@@ -303,10 +366,10 @@ def test_train_shape_mismatch_rejected():
 
 
 def test_params_digest_sensitivity():
-    a = [np.zeros((2, 2))]
-    b = [np.zeros((2, 2))]
+    a = np.zeros(4)
+    b = np.zeros(4)
     assert params_digest(a) == params_digest(b)
-    b[0][0, 0] = 1e-300
+    b[0] = 1e-300
     assert params_digest(a) != params_digest(b)
 
 

@@ -173,8 +173,7 @@ def test_sa_input_jacobian_matches_fd(h):
     trace = network_forward(x, NetworkParams([bp]), cfg)
 
     def f(v):
-        out, _, _ = self_attention(unvec(v, 6, 8), bp, cfg)
-        return vec(out)
+        return vec(self_attention(unvec(v, 6, 8), bp, cfg).out)
 
     fd = finite_difference_jacobian(f, vec(x))
     assert relative_frobenius(sa_input_jacobian(trace, 0).matrix, fd) < 1e-6
@@ -224,8 +223,7 @@ def test_mlp_input_jacobian_gelu_matches_fd():
     trace = network_forward(x, params, cfg)
 
     def f(v):
-        out, _ = mlp_forward(unvec(v, cfg.n, cfg.d), bp, cfg)
-        return vec(out)
+        return vec(mlp_forward(unvec(v, cfg.n, cfg.d), bp, cfg).out)
 
     fd = finite_difference_jacobian(f, vec(trace.blocks[0].post_attention))
     assert relative_frobenius(mlp_input_jacobian(trace, 0).matrix, fd) < 1e-6
@@ -278,7 +276,7 @@ def test_sa_param_jacobian_matches_fd_per_tensor(h):
         saved = (bp.W_Q, bp.W_K, bp.W_V, bp.W_O)
         assign_attention_params(bp, theta, 8)
         try:
-            out, _, _ = self_attention(x, bp, cfg)
+            out = self_attention(x, bp, cfg).out
         finally:
             bp.W_Q, bp.W_K, bp.W_V, bp.W_O = saved
         return vec(out)

@@ -122,35 +122,41 @@ def test_self_attention_identity_attention_limit():
     bp.W_Q = 40.0 * np.eye(cfg.d)
     bp.W_K = np.eye(cfg.d)
     x = np.linalg.qr(np.random.default_rng(9).standard_normal((cfg.d, cfg.n)))[0].T
-    out, _, attns = self_attention(x, bp, cfg)
+    sa = self_attention(x, bp, cfg)
+    out, attns = sa.out, sa.attention
     # Orthonormal rows make the diagonal logit dominate, saturating A to I.
     assert np.max(np.abs(attns[0] - np.eye(cfg.n))) < 1e-6
     assert np.max(np.abs(out - x @ bp.W_V @ bp.W_O)) < 1e-6
 
 
 def test_self_attention_matches_concat_form():
-    """Head-summed output equals the concatenate-then-project coding."""
+    """The output equals the per-head concatenate-then-project coding and the
+    head-summed form sum_i A_i X W_V,i W_O,i the Jacobians are written in."""
     cfg = small_config(h=2)
     params = random_params(cfg, seed=10)
     bp = params.blocks[0]
     rng = np.random.default_rng(11)
     x = rng.standard_normal((cfg.n, cfg.d))
-    out, _, _ = self_attention(x, bp, cfg)
+    out = self_attention(x, bp, cfg).out
     pieces = []
+    summed = np.zeros_like(x)
     for i in range(cfg.h):
         cols = slice(i * cfg.d_h, (i + 1) * cfg.d_h)
         a = row_softmax(x @ bp.W_Q[:, cols] @ bp.W_K[:, cols].T @ x.T
                         / cfg.attention_scale, 1.0)
         pieces.append(a @ (x @ bp.W_V[:, cols]))
+        summed += pieces[-1] @ bp.W_O[cols, :]
     concat = np.hstack(pieces)
     assert np.max(np.abs(out - concat @ bp.W_O)) < 1e-13
+    assert np.max(np.abs(out - summed)) < 1e-13
 
 
 def test_self_attention_single_token():
     cfg = small_config(n=1, h=1)
     params = random_params(cfg, seed=12)
     x = np.random.default_rng(13).standard_normal((1, cfg.d))
-    out, _, attns = self_attention(x, params.blocks[0], cfg)
+    sa = self_attention(x, params.blocks[0], cfg)
+    out, attns = sa.out, sa.attention
     assert np.array_equal(attns[0], [[1.0]])
     assert np.allclose(out, x @ params.blocks[0].W_V @ params.blocks[0].W_O,
                        atol=1e-14)
@@ -185,8 +191,8 @@ def test_block_forward_composes_attention_and_mlp():
     params = random_params(cfg, seed=17)
     x = np.random.default_rng(18).standard_normal((cfg.n, cfg.d))
     bt = block_forward(x, params.blocks[0], cfg)
-    sa, _, _ = self_attention(x, params.blocks[0], cfg)
-    mlp, _ = mlp_forward(sa, params.blocks[0], cfg)
+    sa = self_attention(x, params.blocks[0], cfg).out
+    mlp = mlp_forward(sa, params.blocks[0], cfg).out
     assert np.allclose(bt.output, mlp, atol=1e-13)
 
 
@@ -273,10 +279,10 @@ def test_multihead_invariant_under_head_permutation():
     params = random_params(cfg, seed=27)
     bp = params.blocks[0]
     x = np.random.default_rng(28).standard_normal((cfg.n, cfg.d))
-    out1, _, _ = self_attention(x, bp, cfg)
+    out1 = self_attention(x, bp, cfg).out
     d_h = cfg.d_h
     perm = np.r_[d_h:2 * d_h, 0:d_h]
     swapped = BlockParams(W_Q=bp.W_Q[:, perm], W_K=bp.W_K[:, perm],
                           W_V=bp.W_V[:, perm], W_O=bp.W_O[perm, :])
-    out2, _, _ = self_attention(x, swapped, cfg)
+    out2 = self_attention(x, swapped, cfg).out
     assert np.max(np.abs(out1 - out2)) < 1e-12
