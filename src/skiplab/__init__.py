@@ -15,9 +15,9 @@ from .jacobian import (AttentionDerivative, InputJacobian, ParamJacobian,
                        block_chain_jacobian, finite_difference_jacobian,
                        logits_input_jacobian, mlp_input_jacobian,
                        sa_input_jacobian, sa_param_jacobian, softmax_jacobian)
-from .linalg import (BudgetError, ConditionNumber, SingularSpectrum,
-                     SvdConvergenceError, commutation_matrix, condition_number,
-                     kron, sample_orthogonal, svd, unvec, vec)
+from .linalg import (BudgetError, ConditionNumber, SvdConvergenceError,
+                     commutation_matrix, commutation_permutation,
+                     condition_number, kron, sample_orthogonal, unvec, vec)
 from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
                     NetworkParams, block_forward, network_forward, row_softmax,
                     self_attention)

@@ -192,18 +192,17 @@ def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
                         empirical=empirical, closed_form=closed)
 
 
-def perturbation_split(trace, layer: int, head: int | None = None) -> PerturbationReport:
+def perturbation_split(trace, layer: int) -> PerturbationReport:
     """Split the attention input Jacobian K into dominant + perturbation terms.
 
     B = (W_V W_O)^T kron A (well-conditioned whenever both factors are) and
-    E = ((X W_V W_O)^T kron I_n) A'; B + E reproduces K exactly.  For
-    multi-head traces ``head`` selects one head, or the per-head terms are
-    summed when omitted.
+    E = ((X W_V W_O)^T kron I_n) A'; B + E reproduces K exactly.  Multi-head
+    traces sum the per-head terms.
     """
     cfg = trace.config
     b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
     e = np.zeros_like(b)
-    for i in range(cfg.h) if head is None else [head]:
+    for i in range(cfg.h):
         b_i, e_i = sa_head_split(trace, layer, i)
         b += b_i
         e += e_i
@@ -305,28 +304,34 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
                                  seed: int, include_param_jacobian: bool = True,
                                  extra_inputs: dict | None = None,
                                  ) -> list[ExperimentRecord]:
-    """Per-layer kappa(K), kappa(K+I), kappa(K-hat) and optionally kappa(J)
-    for one fixed parameter set, evaluated on the first batch sample's trace.
+    """Per-layer kappa(K), kappa(K+I), kappa(K-hat) of the first batch
+    sample's trace and optionally kappa(J) of the whole batch, for one fixed
+    parameter set.  Each sample is traced once; kappa(J) of every layer comes
+    from one backward sweep per sample.
 
     Pure measurement: neither params nor batch are modified.  Note kappa(J)
     is informative only in the wide regime m*n*d < 4d^2; the query/key and
     value/output products are gauge-invariant, so a tall parameter Jacobian
     has exact null directions and an INFINITE condition number by structure.
     """
-    trace = network_forward(batch[0], params, config)
+    traces = [network_forward(x, params, config)
+              for x in (batch if include_param_jacobian else batch[:1])]
+    kappa_j = {}
+    if include_param_jacobian:
+        kappa_j = {j.layer: condition_number(j.matrix).value
+                   for j in batch_param_jacobian(traces)}
     eye = np.eye(config.n * config.d)
     records = []
     for layer in range(config.L):
-        k = sa_input_jacobian(trace, layer).matrix
-        k_hat = mlp_input_jacobian(trace, layer).matrix
+        k = sa_input_jacobian(traces[0], layer).matrix
+        k_hat = mlp_input_jacobian(traces[0], layer).matrix
         metrics = {
             "kappa_K": condition_number(k).value,
             "kappa_K_plus_I": condition_number(k + eye).value,
             "kappa_Khat": condition_number(k_hat).value,
         }
         if include_param_jacobian:
-            j = batch_param_jacobian(batch, params, config, layer)
-            metrics["kappa_J"] = condition_number(j.matrix).value
+            metrics["kappa_J"] = kappa_j[layer]
         inputs = {"layer": layer, "n": config.n, "d": config.d, "h": config.h,
                   "L": config.L, "mlp_hidden": config.mlp_hidden,
                   "activation": config.activation,

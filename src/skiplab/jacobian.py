@@ -9,8 +9,9 @@ map X -> softmax(X P X^T / s) X G decomposes as
     K = ((X G)^T kron I_n) @ A' + G^T kron A
 
 where A' is the derivative of vec(attention) w.r.t. vec(X).  The softmax
-Jacobian is naturally block-diagonal over rows; under column-major vec that
-block structure is conjugated by the commutation matrix K_{n,n}.  Multi-head
+Jacobian is naturally block-diagonal over rows; under column-major vec those
+blocks are written straight to the positions the commutation permutation of
+K_{n,n} gives, so no dense K_{n,n} is built.  Multi-head
 attention sums the per-head terms, which is the unique extension consistent
 with the head-summed forward pass; the finite-difference oracle arbitrates.
 
@@ -21,13 +22,13 @@ same matrix, so the two typographic variants of the formula agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import BudgetError, commutation_matrix, kron
-from .model import (BlockParams, ForwardTrace, ModelConfig, NetworkParams,
-                    activation, activation_derivative, network_forward)
+from .linalg import BudgetError, commutation_permutation, kron
+from .model import (BlockParams, ForwardTrace, NetworkParams,
+                    activation_derivative, network_forward)
 
 # Dense nd x nd materialization cap.
 MAX_ND = 2048
@@ -47,13 +48,12 @@ class InputJacobian:
 
 @dataclass(frozen=True)
 class ParamJacobian:
-    """(m*n*d) x p derivative of stacked network outputs w.r.t. one layer's
-    parameter group.  Columns follow (W_Q, W_K, W_V, W_O), each column-major,
-    heads in order within each tensor."""
+    """(m*n*d) x 4d^2 derivative of stacked network outputs w.r.t. one
+    layer's attention parameters.  Columns follow (W_Q, W_K, W_V, W_O), each
+    column-major, heads in order within each tensor."""
 
     matrix: np.ndarray
     layer: int
-    target: str  # "attention" or "mlp"
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ def softmax_jacobian(a: np.ndarray) -> np.ndarray:
     """d vec(softmax(M)) / d vec(M) at A = softmax(M), temperature 1.
 
     Row i of the softmax contributes the block J_i with
-    (J_i)_{jk} = A_ij (delta_jk - A_ik); blocks are assembled into
-    column-major vec coordinates by commutation-matrix conjugation.
-    Each block's rows sum to zero (shift invariance of softmax).
+    (J_i)_{jk} = A_ij (delta_jk - A_ik).  A_ij sits at i + j*n in vec(A), so
+    J_i fills entries (i + j*n, i + k*n): written as an (n, n, n, n) array
+    indexed (j, i, k, i).  Each block's rows sum to zero (shift invariance of
+    softmax).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -85,26 +86,26 @@ def softmax_jacobian(a: np.ndarray) -> np.ndarray:
     rows = a.sum(axis=1)
     if np.any(a < -1e-12) or np.max(np.abs(rows - 1.0)) > 1e-9:
         raise ValueError("input is not row-stochastic")
-    # Row-major block diagonal: block i = diag(a_i) - a_i a_i^T.
-    blocks = np.zeros((n * n, n * n))
-    for i in range(n):
-        ai = a[i]
-        blocks[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.diag(ai) - np.outer(ai, ai)
-    k = commutation_matrix(n, n)
-    return k @ blocks @ k.T
+    # blocks[i] = diag(a_i) - outer(a_i, a_i), entry by entry.
+    blocks = a[:, :, None] * np.eye(n) - a[:, :, None] * a[:, None, :]
+    out = np.zeros((n, n, n, n))
+    rows = np.arange(n)
+    out[:, rows, :, rows] = blocks
+    return out.reshape(n * n, n * n)
 
 
 def logits_input_jacobian(x: np.ndarray, p: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """d vec(X P X^T / scale) / d vec(X), shape n^2 x nd.
 
     The bilinear map splits into (X P^T kron I_n) for the left X and
-    (I_n kron X P) K_{n,d} for the transposed right X.
+    (I_n kron X P) K_{n,d} for the transposed right X; the commutation
+    factor is a column permutation.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     eye_n = np.eye(n)
     left = kron((x @ p.T), eye_n)
-    right = kron(eye_n, (x @ p)) @ commutation_matrix(n, d)
+    right = kron(eye_n, (x @ p))[:, commutation_permutation(d, n)]
     return (left + right) / scale
 
 
@@ -174,7 +175,8 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
       d/dW_Q,i = T_i (X W_K,i kron X) / s
       d/dW_K,i = T_i (X kron X W_Q,i) K_{d,d_h} / s
       d/dW_V,i = W_O,i^T kron A_i X
-    and d/dW_O = I_d kron Concat_i(A_i V_i).
+    and d/dW_O = I_d kron Concat_i(A_i V_i).  Right-multiplying by
+    K_{d,d_h} permutes columns.
     """
     cfg = trace.config
     n, d, d_h = cfg.n, cfg.d, cfg.d_h
@@ -189,7 +191,7 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
     dk = np.zeros((n * d, d * d))
     dv = np.zeros((n * d, d * d))
     concat = np.zeros((n, d))
-    k_ddh = commutation_matrix(d, d_h)
+    k_ddh = commutation_permutation(d_h, d)
     for i in range(cfg.h):
         blk = bp.head_slice(i, d_h)
         w_q, w_k = bp.W_Q[:, blk], bp.W_K[:, blk]
@@ -200,101 +202,59 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
         t = kron((x @ w_v @ w_o).T, eye_n) @ softmax_jacobian(a)
         cols = slice(i * d_h * d, (i + 1) * d_h * d)
         dq[:, cols] = t @ kron(x @ w_k, x) / scale
-        dk[:, cols] = t @ (kron(x, x @ w_q) @ k_ddh) / scale
+        dk[:, cols] = t @ kron(x, x @ w_q)[:, k_ddh] / scale
         dv[:, cols] = kron(w_o.T, a @ x)
     do = kron(np.eye(d), concat)
-    return ParamJacobian(matrix=np.hstack([dq, dk, dv, do]), layer=layer,
-                         target="attention")
+    return ParamJacobian(matrix=np.hstack([dq, dk, dv, do]), layer=layer)
 
 
-def mlp_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
-    """Derivative of vec(MLP-stage output) w.r.t. the layer's flattened
-    (W1, b1, W2, b2), each column-major.
+def _chain(trace: ForwardTrace) -> Iterator[ParamJacobian]:
+    """Every layer's chain Jacobian from one backward sweep, last layer first.
 
-    With S = act(pre) = act(X W1 + 1 b1^T) and D = diag(vec(act'(pre))):
-      d/dW2 = I_d kron S,   d/db2 = I_d kron 1_n,
-      d/dW1 = (W2^T kron I_n) D (I_m kron X),
-      d/db1 = (W2^T kron I_n) D (I_m kron 1_n).
+    D accumulates the derivative of the network output w.r.t. the current
+    stage's output, D <- D M_l at each MLP stage and D <- D A_l at each
+    attention stage, where M_l is K-hat_l (+ I with skips; I without an MLP)
+    and A_l is K_l (+ I with skips).  Layer l's chain Jacobian is
+    D sa_param_jacobian(l), taken between the two.  Each K and K-hat is built
+    once, and layer 0's K is never needed.
     """
     cfg = trace.config
-    if not cfg.use_mlp:
-        raise ValueError("network has no MLP sub-block")
-    n, d, m = cfg.n, cfg.d, cfg.mlp_hidden
-    _check_nd(n * d)
-    bt = trace.blocks[layer]
-    bp = trace.params.blocks[layer]
-    x = bt.post_attention
-    pre = bt.mlp_pre
-    act = activation(cfg.activation, pre)
-    ones = np.ones((n, 1))
-    left = kron(bp.mlp_W2.T, np.eye(n)) * \
-        activation_derivative(cfg.activation, pre).reshape(-1, order="F")
-    d_w1 = left @ kron(np.eye(m), x)
-    d_b1 = left @ kron(np.eye(m), ones)
-    d_w2 = kron(np.eye(d), act)
-    d_b2 = kron(np.eye(d), ones)
-    return ParamJacobian(matrix=np.hstack([d_w1, d_b1, d_w2, d_b2]),
-                         layer=layer, target="mlp")
+    eye = np.eye(cfg.n * cfg.d)
+    d = eye
+    for layer in reversed(range(cfg.L)):
+        if cfg.use_mlp:
+            m = mlp_input_jacobian(trace, layer).matrix
+            d = d @ (m + eye if cfg.use_skip else m)
+        yield ParamJacobian(d @ sa_param_jacobian(trace, layer).matrix, layer)
+        if layer > 0:
+            k = sa_input_jacobian(trace, layer).matrix
+            d = d @ (k + eye if cfg.use_skip else k)
 
 
-def _stage_factors(trace: ForwardTrace, layer: int, use_skip: bool,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(MLP-stage, attention-stage) input-Jacobian factors of one block."""
-    nd = trace.config.n * trace.config.d
-    eye = np.eye(nd)
-    k_attn = sa_input_jacobian(trace, layer).matrix
-    if trace.config.use_mlp:
-        k_mlp = mlp_input_jacobian(trace, layer).matrix
-        mlp_factor = k_mlp + eye if use_skip else k_mlp
-    else:
-        mlp_factor = eye
-    attn_factor = k_attn + eye if use_skip else k_attn
-    return mlp_factor, attn_factor
-
-
-def block_chain_jacobian(trace: ForwardTrace, layer: int,
-                         use_skip: bool | None = None,
-                         target: str = "attention") -> ParamJacobian:
+def block_chain_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
     """Derivative of the final network output w.r.t. layer ``layer``'s
-    attention (or MLP) parameters: downstream chain factors times the local
-    parameter Jacobian.
+    attention parameters: the sweep of :func:`_chain`, stopped at ``layer``.
 
-    With skips each chain factor is (K-hat_i + I)(K_i + I); without, it is
-    K-hat_i K_i.  For the attention target the chain additionally passes
-    through layer ``layer``'s own MLP stage.  ``use_skip`` defaults to the
-    trace's own configuration (the only setting for which the product equals
-    the true derivative).
+    The chain factors follow the trace's own wiring, the only one for which
+    the product is the true derivative.
     """
-    cfg = trace.config
-    if not 0 <= layer < cfg.L:
-        raise IndexError(f"layer {layer} out of range for L={cfg.L}")
-    if target not in ("attention", "mlp"):
-        raise ValueError(f"unknown target {target!r}")
-    if use_skip is None:
-        use_skip = cfg.use_skip
-    if target == "attention":
-        j = sa_param_jacobian(trace, layer).matrix
-        mlp_factor, _ = _stage_factors(trace, layer, use_skip)
-        j = mlp_factor @ j
-    else:
-        j = mlp_param_jacobian(trace, layer).matrix
-    for i in range(layer + 1, cfg.L):
-        mlp_factor, attn_factor = _stage_factors(trace, i, use_skip)
-        j = mlp_factor @ (attn_factor @ j)
-    return ParamJacobian(matrix=j, layer=layer, target=target)
+    if not 0 <= layer < trace.config.L:
+        raise IndexError(f"layer {layer} out of range for L={trace.config.L}")
+    for j in _chain(trace):
+        if j.layer == layer:
+            return j
 
 
-def batch_param_jacobian(inputs: list[np.ndarray], params: NetworkParams,
-                         config: ModelConfig, layer: int,
-                         target: str = "attention") -> ParamJacobian:
-    """Vertically stacked per-sample chain Jacobians, rows in sample order."""
-    if not inputs:
+def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[ParamJacobian]:
+    """Per layer, the per-sample chain Jacobians stacked vertically in sample
+    order; one sweep per trace, layers yielded last first."""
+    if not traces:
         raise ValueError("batch must contain at least one sample")
-    pieces = []
-    for x0 in inputs:
-        trace = network_forward(x0, params, config)
-        pieces.append(block_chain_jacobian(trace, layer, target=target).matrix)
-    return ParamJacobian(matrix=np.vstack(pieces), layer=layer, target=target)
+    for pieces in zip(*map(_chain, traces)):
+        stacked = ParamJacobian(np.vstack([p.matrix for p in pieces]), pieces[0].layer)
+        # Drop the per-sample pieces before the caller holds the stack.
+        del pieces
+        yield stacked
 
 
 def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],

@@ -54,21 +54,24 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols, order="F").copy()
 
 
+def commutation_permutation(n: int, d: int) -> np.ndarray:
+    """Index permutation of the commutation matrix: K @ v == v[perm].
+
+    Entry j + i*d of vec(X^T) is X[i, j], which sits at i + j*n in vec(X).
+    """
+    if n < 1 or d < 1:
+        raise ValueError("commutation_permutation needs n, d >= 1")
+    return (np.arange(n)[:, None] + n * np.arange(d)).ravel()
+
+
 def commutation_matrix(n: int, d: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> np.ndarray:
     """Permutation K with K @ vec(X) = vec(X^T) for every n x d matrix X.
 
-    K maps the column-major position of X[i, j] (= i + j*n) to the
-    column-major position of X^T[j, i] (= j + i*d).
+    Dense form of :func:`commutation_permutation`, kept as a test oracle.
     """
-    if n < 1 or d < 1:
-        raise ValueError("commutation_matrix needs n, d >= 1")
+    perm = commutation_permutation(n, d)
     _check_budget(n * d, n * d, max_elements)
-    i, j = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
-    src = (i + j * n).ravel()
-    dst = (j + i * d).ravel()
-    K = np.zeros((n * d, n * d))
-    K[dst, src] = 1.0
-    return K
+    return np.eye(n * d)[perm]
 
 
 def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_MAX_ELEMENTS) -> np.ndarray:
@@ -77,30 +80,6 @@ def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_MAX_ELEMENTS)
     b = np.asarray(b, dtype=float)
     _check_budget(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], max_elements)
     return np.kron(a, b)
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Thin SVD of a matrix: M = U diag(values) V^T.
-
-    values are non-increasing and non-negative; U and V have orthonormal
-    columns.
-    """
-
-    values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    @property
-    def sigma_max(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.values[-1])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.values) @ self.right_vectors.T
 
 
 @dataclass(frozen=True)
@@ -123,25 +102,6 @@ class ConditionNumber:
 
     def __str__(self) -> str:
         return "INFINITE" if self.is_infinite else repr(self.value)
-
-
-def svd(m: np.ndarray) -> SingularSpectrum:
-    """Thin SVD wrapped so non-convergence surfaces as a distinct error.
-
-    Falls back from the fast divide-and-conquer driver to the slower but
-    sturdier Jacobi-style driver before giving up."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("svd input contains non-finite entries")
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        try:
-            import scipy.linalg
-            u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-        except Exception as exc:
-            raise SvdConvergenceError(f"SVD did not converge for shape {m.shape}") from exc
-    return SingularSpectrum(values=s, left_vectors=u, right_vectors=vt.T)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -62,3 +62,27 @@ def test_traced_training_runs_the_model_forward():
     assert table["model.network_forward"]["calls"] == 1
     assert t.distinct("model.network_forward") == 1
     assert t.distinct("jacobian.sa_input_jacobian") == 1
+
+
+def test_traced_profile_traces_each_sample_once():
+    """A profile traces each batch sample once and builds each K once per
+    sample in the backward sweep, plus the kappa(K) rows of the first
+    sample; without kappa(J) only the first sample is traced."""
+    from skiplab.analysis import condition_profile_for_params
+    layers, batch_size = 4, 2
+    mc = ModelConfig(L=layers, n=4, d=8, h=2, attention_scale=2.0,
+                     use_skip=False, mlp_hidden=8)
+    params = init_network(mc, InitSpec(scheme="proposed", seed=0))
+    rng = np.random.default_rng(2)
+    batch = [rng.standard_normal((mc.n, mc.d)) for _ in range(batch_size)]
+    tracer = load_tracer()
+    with tracer.Tracer() as t:
+        records = condition_profile_for_params(params, mc, batch, seed=0)
+    table = t.span_table()
+    assert [r.inputs["layer"] for r in records] == list(range(layers))
+    assert table["model.network_forward"]["calls"] == batch_size
+    assert table["jacobian.sa_input_jacobian"]["calls"] <= layers + batch_size * layers
+    with tracer.Tracer() as t:
+        condition_profile_for_params(params, mc, batch, seed=0,
+                                     include_param_jacobian=False)
+    assert t.span_table()["model.network_forward"]["calls"] == 1
