@@ -10,11 +10,11 @@ from .analysis import (ConcatReport, ExperimentRecord, MomentReport,
 from .harness import (Dataset, TrainConfig, TrainLog, load_tensor_file,
                       optimizer_step, save_tensor_file, synth_task, train)
 from .init import InitSpec, init_network, mimetic_qk, mlp_orthogonal, orthonormal_vo, truncated_normal
-from .jacobian import (AttentionDerivative, InputJacobian, ParamJacobian,
-                       attention_input_jacobian, batch_param_jacobian,
-                       block_chain_jacobian, finite_difference_jacobian,
-                       logits_input_jacobian, mlp_input_jacobian,
-                       sa_input_jacobian, sa_param_jacobian, softmax_jacobian)
+from .jacobian import (ParamJacobian, attention_input_jacobian,
+                       batch_param_jacobian, block_chain_jacobian,
+                       finite_difference_jacobian, logits_input_jacobian,
+                       mlp_input_jacobian, mlp_token_blocks, sa_input_jacobian,
+                       sa_param_jacobian, softmax_jacobian)
 from .linalg import (BudgetError, ConditionNumber, SvdConvergenceError,
                      commutation_matrix, commutation_permutation,
                      condition_number, kron, sample_orthogonal, unvec, vec)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .init import InitSpec, init_network
-from .jacobian import (batch_param_jacobian, mlp_input_jacobian, sa_head_split,
-                       sa_input_jacobian)
-from .linalg import condition_number, singular_values, spectral_norm
+from .jacobian import (batch_param_jacobian, mlp_token_blocks, sa_input_jacobian,
+                       sa_split)
+from .linalg import condition_number, kron_eye_apply, singular_values, spectral_norm
 from .model import ModelConfig, network_forward, row_softmax
 
 
@@ -197,25 +197,20 @@ def perturbation_split(trace, layer: int) -> PerturbationReport:
 
     B = (W_V W_O)^T kron A (well-conditioned whenever both factors are) and
     E = ((X W_V W_O)^T kron I_n) A'; B + E reproduces K exactly.  Multi-head
-    traces sum the per-head terms.
+    traces sum the per-head terms, E = (M kron I_n) A' (see ``sa_split``).
+    With the reduced QR M = QR, Q kron I_n has orthonormal columns, so
+    ||E||_2 = ||(R kron I_n) A'||_2 needs only a (min(d, hn) n) x nd SVD.
     """
-    cfg = trace.config
-    b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
-    e = np.zeros_like(b)
-    for i in range(cfg.h):
-        b_i, e_i = sa_head_split(trace, layer, i)
-        b += b_i
-        e += e_i
-    sb = singular_values(b)
-    b_max, b_min = float(sb[0]), float(sb[-1])
-    e_norm = spectral_norm(e)
+    b, m, a_prime = sa_split(trace, layer)
+    b_max, b_min = map(float, singular_values(b)[[0, -1]])
+    e_norm = spectral_norm(kron_eye_apply(np.linalg.qr(m, mode="r"), a_prime))
     return PerturbationReport(
         layer=layer,
         e_norm=e_norm,
         b_sigma_min=b_min,
         b_sigma_max=b_max,
         b_kappa=np.inf if b_min <= 1e-12 * b_max else b_max / b_min,
-        k_kappa=condition_number(b + e).value,
+        k_kappa=condition_number(b + kron_eye_apply(m, a_prime)).value,
         dominance_ratio=e_norm / max(b_min, 1e-300),
     )
 
@@ -307,7 +302,8 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     """Per-layer kappa(K), kappa(K+I), kappa(K-hat) of the first batch
     sample's trace and optionally kappa(J) of the whole batch, for one fixed
     parameter set.  Each sample is traced once; kappa(J) of every layer comes
-    from one backward sweep per sample.
+    from one backward sweep per sample.  kappa(K) and kappa(K+I) come from
+    dense nd x nd SVDs, kappa(K-hat) from its n per-token d x d blocks.
 
     Pure measurement: neither params nor batch are modified.  Note kappa(J)
     is informative only in the wide regime m*n*d < 4d^2; the query/key and
@@ -323,12 +319,11 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     eye = np.eye(config.n * config.d)
     records = []
     for layer in range(config.L):
-        k = sa_input_jacobian(traces[0], layer).matrix
-        k_hat = mlp_input_jacobian(traces[0], layer).matrix
+        k = sa_input_jacobian(traces[0], layer)
         metrics = {
             "kappa_K": condition_number(k).value,
             "kappa_K_plus_I": condition_number(k + eye).value,
-            "kappa_Khat": condition_number(k_hat).value,
+            "kappa_Khat": condition_number(mlp_token_blocks(traces[0], layer)).value,
         }
         if include_param_jacobian:
             metrics["kappa_J"] = kappa_j[layer]

@@ -204,25 +204,19 @@ def _threads() -> int:
 
 
 def _fmt_value(v) -> str:
+    """CSV cell: the JSON writer's value, with JSON's spelling of booleans."""
+    v = _json_value(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return "INFINITE" if math.isinf(v) else repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _json_value(v):
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "INFINITE"
-        if math.isnan(v):
-            return "NAN"
-        return v
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return _json_value(float(v))
-    return v
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        return "INFINITE" if math.isinf(v) else "NAN" if math.isnan(v) else v
+    # Other numpy scalars (integers, booleans) as their Python values.
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _flatten(record: ExperimentRecord) -> dict:

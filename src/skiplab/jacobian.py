@@ -11,9 +11,12 @@ map X -> softmax(X P X^T / s) X G decomposes as
 where A' is the derivative of vec(attention) w.r.t. vec(X).  The softmax
 Jacobian is naturally block-diagonal over rows; under column-major vec those
 blocks are written straight to the positions the commutation permutation of
-K_{n,n} gives, so no dense K_{n,n} is built.  Multi-head
-attention sums the per-head terms, which is the unique extension consistent
-with the head-summed forward pass; the finite-difference oracle arbitrates.
+K_{n,n} gives, so no dense K_{n,n} is built; left factors (M kron I_n) are
+applied by reshape (``linalg.kron_eye_apply``).  Multi-head attention sums
+the per-head terms, which is the unique extension consistent with the
+head-summed forward pass; the finite-difference oracle arbitrates.  The MLP
+acts on each token separately, so its input Jacobian K-hat is block-diagonal
+by token, with blocks W2^T diag(act'(pre_a)) W1^T (:func:`mlp_token_blocks`).
 
 Note the left factor of K: (X G kron I_n)^T and ((X G)^T kron I_n) are the
 same matrix, so the two typographic variants of the formula agree.
@@ -26,7 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import BudgetError, commutation_permutation, kron
+from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply
 from .model import (BlockParams, ForwardTrace, NetworkParams,
                     activation_derivative, network_forward)
 
@@ -38,15 +41,6 @@ FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
-class InputJacobian:
-    """nd x nd derivative of one sub-block's output w.r.t. its input."""
-
-    matrix: np.ndarray
-    layer: int
-    kind: str  # "attention" or "mlp"
-
-
-@dataclass(frozen=True)
 class ParamJacobian:
     """(m*n*d) x 4d^2 derivative of stacked network outputs w.r.t. one
     layer's attention parameters.  Columns follow (W_Q, W_K, W_V, W_O), each
@@ -54,15 +48,6 @@ class ParamJacobian:
 
     matrix: np.ndarray
     layer: int
-
-
-@dataclass(frozen=True)
-class AttentionDerivative:
-    """n^2 x nd derivative of one head's vec(attention) w.r.t. vec(X)."""
-
-    matrix: np.ndarray
-    layer: int
-    head: int
 
 
 def _check_nd(nd: int) -> None:
@@ -117,54 +102,63 @@ def _head_blocks(params: BlockParams, head: int, d_h: int):
     return w_v, w_o, p
 
 
-def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> AttentionDerivative:
-    """A' for one head: softmax Jacobian chained with the logits Jacobian."""
+def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> np.ndarray:
+    """A' for one head, n^2 x nd: softmax Jacobian chained with the logits Jacobian."""
     cfg = trace.config
     bt = trace.blocks[layer]
     _, _, p = _head_blocks(trace.params.blocks[layer], head, cfg.d_h)
     ja = softmax_jacobian(bt.attention[head])
     jm = logits_input_jacobian(bt.x_in, p, cfg.attention_scale)
-    return AttentionDerivative(matrix=ja @ jm, layer=layer, head=head)
+    return ja @ jm
 
 
-def sa_head_split(trace: ForwardTrace, layer: int, head: int,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One head's terms of K = sum_i (B_i + E_i), with G_i = W_V,i W_O,i:
-    B_i = G_i^T kron A_i and E_i = ((X G_i)^T kron I_n) A'_i."""
-    cfg = trace.config
-    w_v, w_o, _ = _head_blocks(trace.params.blocks[layer], head, cfg.d_h)
-    g = w_v @ w_o
-    bt = trace.blocks[layer]
-    b = kron(g.T, bt.attention[head])
-    e = kron((bt.x_in @ g).T, np.eye(cfg.n)) @ attention_input_jacobian(trace, layer, head).matrix
-    return b, e
-
-
-def sa_input_jacobian(trace: ForwardTrace, layer: int) -> InputJacobian:
-    """K for one layer: per-head ((X G_i)^T kron I_n) A'_i + G_i^T kron A_i, summed."""
+def sa_split(trace: ForwardTrace, layer: int,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K = B + (M kron I_n) A' for one layer, as (B, M, A'): with
+    G_i = W_V,i W_O,i, B = sum_i G_i^T kron A_i, M = [(X G_1)^T ... (X G_h)^T]
+    is d x hn and A' stacks the per-head A'_i (h n^2 x nd)."""
     cfg = trace.config
     _check_nd(cfg.n * cfg.d)
-    total = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
+    bt = trace.blocks[layer]
+    b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
+    m, a_prime = [], []
     for i in range(cfg.h):
-        b, e = sa_head_split(trace, layer, i)
-        total += b
-        total += e
-    return InputJacobian(matrix=total, layer=layer, kind="attention")
+        w_v, w_o, _ = _head_blocks(trace.params.blocks[layer], i, cfg.d_h)
+        g = w_v @ w_o
+        b += kron(g.T, bt.attention[i])
+        m.append((bt.x_in @ g).T)
+        a_prime.append(attention_input_jacobian(trace, layer, i))
+    return b, np.hstack(m), np.vstack(a_prime)
 
 
-def mlp_input_jacobian(trace: ForwardTrace, layer: int) -> InputJacobian:
-    """K-hat for one layer: (W2^T kron I_n) diag(act'(pre)) (W1^T kron I_n)."""
+def sa_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
+    """K for one layer: per-head ((X G_i)^T kron I_n) A'_i + G_i^T kron A_i, summed."""
+    b, m, a_prime = sa_split(trace, layer)
+    b += kron_eye_apply(m, a_prime)
+    return b
+
+
+def mlp_token_blocks(trace: ForwardTrace, layer: int) -> np.ndarray:
+    """K-hat for one layer as its (n, d, d) stack of per-token blocks
+    W2^T diag(act'(pre_a)) W1^T; the identity stack without an MLP."""
     cfg = trace.config
-    _check_nd(cfg.n * cfg.d)
     if not cfg.use_mlp:
-        return InputJacobian(matrix=np.eye(cfg.n * cfg.d), layer=layer, kind="mlp")
-    bt = trace.blocks[layer]
+        return np.tile(np.eye(cfg.d), (cfg.n, 1, 1))
     bp = trace.params.blocks[layer]
-    eye_n = np.eye(cfg.n)
-    act = activation_derivative(cfg.activation, bt.mlp_pre)
-    j = kron(bp.mlp_W2.T, eye_n) * act.reshape(-1, order="F")
-    j = j @ kron(bp.mlp_W1.T, eye_n)
-    return InputJacobian(matrix=j, layer=layer, kind="mlp")
+    act = activation_derivative(cfg.activation, trace.blocks[layer].mlp_pre)
+    return (bp.mlp_W2.T * act[:, None, :]) @ bp.mlp_W1.T
+
+
+def mlp_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
+    """Dense K-hat: entry (c, c') of token a's block sits at (a + c*n, a + c'*n),
+    written as a (d, n, d, n) array indexed (c, a, c', a)."""
+    cfg = trace.config
+    n, d = cfg.n, cfg.d
+    _check_nd(n * d)
+    out = np.zeros((d, n, d, n))
+    tokens = np.arange(n)
+    out[:, tokens, :, tokens] = mlp_token_blocks(trace, layer)
+    return out.reshape(n * d, n * d)
 
 
 def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
@@ -184,7 +178,6 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
     bt = trace.blocks[layer]
     bp = trace.params.blocks[layer]
     x = bt.x_in
-    eye_n = np.eye(n)
     scale = cfg.attention_scale
 
     dq = np.zeros((n * d, d * d))
@@ -199,7 +192,7 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
         a = bt.attention[i]
         v = x @ w_v
         concat[:, blk] = a @ v
-        t = kron((x @ w_v @ w_o).T, eye_n) @ softmax_jacobian(a)
+        t = kron_eye_apply((x @ w_v @ w_o).T, softmax_jacobian(a))
         cols = slice(i * d_h * d, (i + 1) * d_h * d)
         dq[:, cols] = t @ kron(x @ w_k, x) / scale
         dk[:, cols] = t @ kron(x, x @ w_q)[:, k_ddh] / scale
@@ -223,11 +216,11 @@ def _chain(trace: ForwardTrace) -> Iterator[ParamJacobian]:
     d = eye
     for layer in reversed(range(cfg.L)):
         if cfg.use_mlp:
-            m = mlp_input_jacobian(trace, layer).matrix
+            m = mlp_input_jacobian(trace, layer)
             d = d @ (m + eye if cfg.use_skip else m)
         yield ParamJacobian(d @ sa_param_jacobian(trace, layer).matrix, layer)
         if layer > 0:
-            k = sa_input_jacobian(trace, layer).matrix
+            k = sa_input_jacobian(trace, layer)
             d = d @ (k + eye if cfg.use_skip else k)
 
 
@@ -370,7 +363,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
 
     fd = finite_difference_jacobian(head_attention, vec(x0))
     results["attention_input_jacobian"] = relative_frobenius(
-        attention_input_jacobian(trace, 0, 0).matrix, fd)
+        attention_input_jacobian(trace, 0, 0), fd)
 
     # Input Jacobians of both sub-blocks.
     def sa_map(v):
@@ -378,7 +371,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
 
     fd = finite_difference_jacobian(sa_map, vec(x0))
     results["sa_input_jacobian"] = relative_frobenius(
-        sa_input_jacobian(trace, 0).matrix, fd)
+        sa_input_jacobian(trace, 0), fd)
 
     from .model import mlp_forward
 
@@ -387,7 +380,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
 
     fd = finite_difference_jacobian(mlp_map, vec(trace.blocks[0].post_attention))
     results["mlp_input_jacobian"] = relative_frobenius(
-        mlp_input_jacobian(trace, 0).matrix, fd)
+        mlp_input_jacobian(trace, 0), fd)
 
     # Parameter Jacobian of the attention stage.
     theta0 = flatten_attention_params(bp)

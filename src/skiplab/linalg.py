@@ -5,8 +5,9 @@ coordinates, so the one convention that matters lives here: ``vec`` stacks
 columns.  Under that convention vec(A X B) = (B^T kron A) vec(X), which is the
 form every Kronecker factor in the attention Jacobian takes.
 
-All matrices are dense float64 ndarrays; condition numbers come from a full
-SVD (desk-scale sizes), never from iterative estimators.
+All matrices are dense float64 ndarrays; condition numbers come from full
+SVDs (desk-scale sizes), never from iterative estimators.  A block-diagonal
+matrix may be given by its blocks alone, one small SVD each.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_MAX_ELEMENTS)
     return np.kron(a, b)
 
 
+def kron_eye_apply(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(M kron I_n) @ a for r x c M and (c*n) x k a, as one matmul: row j*n + t
+    of a pairs with column j of M, and the product's row b*n + t is (b, t)."""
+    r, c = m.shape
+    n = a.shape[0] // c
+    return (m @ a.reshape(c, -1)).reshape(r * n, -1)
+
+
 @dataclass(frozen=True)
 class ConditionNumber:
     """sigma_max / sigma_min, or infinity when sigma_min is numerically zero.
@@ -104,32 +113,37 @@ class ConditionNumber:
         return "INFINITE" if self.is_infinite else repr(self.value)
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values only (non-increasing)."""
+def singular_values(m: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """Singular values only (non-increasing).  With ``blocks`` = k, the rows of
+    ``m`` are the k equal-height blocks of a block-diagonal matrix, one SVD each."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("singular_values input contains non-finite entries")
+    stack = m.reshape(blocks, -1, m.shape[1])
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError:
         try:
             import scipy.linalg
-            return scipy.linalg.svd(m, compute_uv=False, lapack_driver="gesvd")
+            s = np.array([scipy.linalg.svd(b, compute_uv=False, lapack_driver="gesvd")
+                          for b in stack])
         except Exception as exc:
             raise SvdConvergenceError(f"SVD did not converge for shape {m.shape}") from exc
+    return np.sort(s, axis=None)[::-1]
 
 
 def condition_number(m: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> ConditionNumber:
-    """Spectral condition number from a full SVD.
+    """Spectral condition number from a full SVD; a (k, r, c) stack stands
+    for the block-diagonal matrix of its k blocks.
 
     Returns INFINITE (value = inf) when sigma_min <= rel_tol * sigma_max,
     i.e. the matrix is numerically rank deficient at the stated tolerance.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = singular_values(m)
-    smax = float(s[0])
-    smin = float(s[-1])
+    m = np.asarray(m, dtype=float)
+    s = singular_values(m.reshape(-1, m.shape[-1]), len(m) if m.ndim == 3 else 1)
+    smax, smin = float(s[0]), float(s[-1])
     if smax == 0.0 or smin <= rel_tol * smax:
         return ConditionNumber(value=float("inf"), rank_tolerance=rel_tol)
     return ConditionNumber(value=smax / smin, rank_tolerance=rel_tol)

@@ -198,7 +198,7 @@ def paired_kappas():
             for layer in range(L7):
                 trace = network_forward(inputs[layer],
                                         NetworkParams([net.blocks[layer]]), cfg1)
-                k = sa_input_jacobian(trace, 0).matrix
+                k = sa_input_jacobian(trace, 0)
                 out[(seed, scheme, layer)] = (
                     condition_number(k).value,
                     condition_number(k + eye).value,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skiplab.analysis import (concat_bound, condition_profile_for_params,
                               gram_moments, layer_condition_profile,
@@ -8,7 +10,7 @@ from skiplab.analysis import (concat_bound, condition_profile_for_params,
                               softmax_derivative_beta_sweep,
                               softmax_of_scaled_identity_kappa)
 from skiplab.init import InitSpec, init_network
-from skiplab.linalg import condition_number
+from skiplab.linalg import condition_number, kron, spectral_norm
 from skiplab.model import ModelConfig, NetworkParams, network_forward, row_softmax
 
 
@@ -118,8 +120,8 @@ def test_perturbation_split_is_exact_decomposition():
     g = bp.W_V @ bp.W_O
     b = kron(g.T, trace.blocks[0].attention[0])
     e = kron((trace.blocks[0].x_in @ g).T, np.eye(8)) @ \
-        attention_input_jacobian(trace, 0, 0).matrix
-    k = sa_input_jacobian(trace, 0).matrix
+        attention_input_jacobian(trace, 0, 0)
+    k = sa_input_jacobian(trace, 0)
     assert np.linalg.norm(b + e - k) <= 1e-10 * np.linalg.norm(k)
 
 
@@ -136,6 +138,31 @@ def test_perturbation_split_saturated_attention():
     r = perturbation_split(trace, 0)
     assert r.e_norm < 1e-8
     assert r.k_kappa == pytest.approx(r.b_kappa, rel=1e-6)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(h=st.sampled_from([1, 2]), n=st.integers(2, 6), d_h=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+@example(h=2, n=5, d_h=2, seed=0)  # hn = 10 > d = 4: R is d x hn
+@example(h=1, n=3, d_h=6, seed=1)  # hn = 3 < d = 6: R is hn x hn
+def test_property_qr_reduced_e_norm_matches_dense(h, n, d_h, seed):
+    """||E||_2 from the QR-reduced (R kron I_n) A' equals the spectral norm
+    of the dense E = sum_i ((X G_i)^T kron I_n) A'_i."""
+    from skiplab.jacobian import attention_input_jacobian
+    d = h * d_h
+    cfg = ModelConfig(L=1, n=n, d=d, h=h, attention_scale=float(np.sqrt(d)),
+                      use_skip=False, use_mlp=False)
+    params = init_network(cfg, InitSpec(scheme="default", seed=seed))
+    bp = params.blocks[0]
+    x = np.random.default_rng(seed + 1).standard_normal((n, d))
+    trace = network_forward(x, params, cfg)
+    e = np.zeros((n * d, n * d))
+    for i in range(h):
+        blk = slice(i * d_h, (i + 1) * d_h)
+        g = bp.W_V[:, blk] @ bp.W_O[blk, :]
+        e += kron((x @ g).T, np.eye(n)) @ attention_input_jacobian(trace, 0, i)
+    assert perturbation_split(trace, 0).e_norm == pytest.approx(
+        spectral_norm(e), rel=1e-10)
 
 
 def test_perturbation_dominance_at_wide_width():
@@ -166,7 +193,7 @@ def test_perturbation_multihead_sums_to_full_jacobian():
     x = np.random.default_rng(6).standard_normal((6, 16))
     trace = network_forward(x, params, cfg)
     r = perturbation_split(trace, 0)  # head=None sums heads
-    k = sa_input_jacobian(trace, 0).matrix
+    k = sa_input_jacobian(trace, 0)
     assert r.k_kappa == pytest.approx(condition_number(k).value, rel=1e-9)
 
 

@@ -106,6 +106,22 @@ def test_serialize_records_json_lines():
     assert row["flag"] is True
 
 
+def test_serialize_numpy_scalars_like_python_values():
+    """CSV and JSON spell numpy scalars as they spell the Python values, and
+    CSV writes NaN as the JSON writer's NAN token."""
+    def rows(flag, kappa, bad, count):
+        return [ExperimentRecord("demo", {"flag": flag, "count": count}, 7,
+                                 {"kappa": kappa, "bad": bad, "nan": float("nan")})]
+
+    plain = rows(True, 1.5, float("inf"), 3)
+    numpy = rows(np.bool_(True), np.float64(1.5), np.float64(np.inf), np.int64(3))
+    for fmt in ("csv", "records"):
+        assert serialize(numpy, fmt) == serialize(plain, fmt)
+    line = serialize(numpy, "csv").strip().split("\n")[1]
+    assert line.startswith("demo,7,true,3,1.5,INFINITE,NAN,")
+    assert json.loads(serialize(numpy, "records"))["nan"] == "NAN"
+
+
 def test_write_atomic_no_partial_files(tmp_path):
     target = tmp_path / "out.csv"
     write_atomic(str(target), "hello\n")

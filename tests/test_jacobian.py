@@ -8,12 +8,13 @@ from skiplab.jacobian import (MAX_ND, attention_input_jacobian,
                               batch_param_jacobian, block_chain_jacobian,
                               fd_check_instance, finite_difference_jacobian,
                               flatten_attention_params, logits_input_jacobian,
-                              mlp_input_jacobian, relative_frobenius,
-                              sa_input_jacobian, sa_param_jacobian,
-                              softmax_jacobian)
-from skiplab.linalg import BudgetError, kron, spectral_norm, unvec, vec
+                              mlp_input_jacobian, mlp_token_blocks,
+                              relative_frobenius, sa_input_jacobian,
+                              sa_param_jacobian, softmax_jacobian)
+from skiplab.linalg import (BudgetError, condition_number, kron, spectral_norm,
+                            unvec, vec)
 from skiplab.model import (BlockParams, ModelConfig, NetworkParams,
-                           network_forward, row_softmax)
+                           activation_derivative, network_forward, row_softmax)
 from test_model import random_params, small_config
 
 
@@ -123,7 +124,7 @@ def test_attention_derivative_saturated_limit():
     params = _saturated_identity_params(cfg, seed=4)
     x = np.linalg.qr(np.random.default_rng(5).standard_normal((cfg.d, cfg.n)))[0].T
     trace = network_forward(x, params, cfg)
-    a_prime = attention_input_jacobian(trace, 0, 0).matrix
+    a_prime = attention_input_jacobian(trace, 0, 0)
     assert spectral_norm(a_prime) < 1e-8
 
 
@@ -137,7 +138,7 @@ def test_attention_derivative_matches_fd():
     fd = finite_difference_jacobian(
         lambda v: vec(row_softmax(unvec(v, 2, 2) @ p @ unvec(v, 2, 2).T, 1.0)),
         vec(x))
-    got = attention_input_jacobian(trace, 0, 0).matrix
+    got = attention_input_jacobian(trace, 0, 0)
     assert relative_frobenius(got, fd) < 1e-6
 
 
@@ -160,7 +161,7 @@ def test_sa_input_jacobian_saturated_reduces_to_kron_term():
     bp = params.blocks[0]
     x = np.linalg.qr(np.random.default_rng(8).standard_normal((cfg.d, cfg.n)))[0].T
     trace = network_forward(x, params, cfg)
-    k = sa_input_jacobian(trace, 0).matrix
+    k = sa_input_jacobian(trace, 0)
     expected = kron((bp.W_V @ bp.W_O).T, trace.blocks[0].attention[0])
     assert np.max(np.abs(k - expected)) < 1e-8
 
@@ -178,7 +179,7 @@ def test_sa_input_jacobian_matches_fd(h):
         return vec(self_attention(unvec(v, 6, 8), bp, cfg).out)
 
     fd = finite_difference_jacobian(f, vec(x))
-    assert relative_frobenius(sa_input_jacobian(trace, 0).matrix, fd) < 1e-6
+    assert relative_frobenius(sa_input_jacobian(trace, 0), fd) < 1e-6
 
 
 def test_sa_input_jacobian_budget():
@@ -202,7 +203,7 @@ def test_mlp_input_jacobian_identity_case():
                      mlp_W2=np.eye(d), mlp_b2=np.zeros(d))
     x = np.random.default_rng(12).standard_normal((cfg.n, d))
     trace = network_forward(x, NetworkParams([bp]), cfg)
-    assert np.allclose(mlp_input_jacobian(trace, 0).matrix, np.eye(cfg.n * d),
+    assert np.allclose(mlp_input_jacobian(trace, 0), np.eye(cfg.n * d),
                        atol=1e-14)
 
 
@@ -213,7 +214,7 @@ def test_mlp_input_jacobian_relu_dead_region():
     bp.mlp_b1 = np.full(cfg.mlp_hidden, -1e6)  # all pre-activations negative
     x = np.random.default_rng(14).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x, params, cfg)
-    assert np.max(np.abs(mlp_input_jacobian(trace, 0).matrix)) == 0.0
+    assert np.max(np.abs(mlp_input_jacobian(trace, 0))) == 0.0
 
 
 def test_mlp_input_jacobian_gelu_matches_fd():
@@ -228,7 +229,7 @@ def test_mlp_input_jacobian_gelu_matches_fd():
         return vec(mlp_forward(unvec(v, cfg.n, cfg.d), bp, cfg).out)
 
     fd = finite_difference_jacobian(f, vec(trace.blocks[0].post_attention))
-    assert relative_frobenius(mlp_input_jacobian(trace, 0).matrix, fd) < 1e-6
+    assert relative_frobenius(mlp_input_jacobian(trace, 0), fd) < 1e-6
 
 
 def test_mlp_input_jacobian_identity_when_mlp_disabled():
@@ -236,8 +237,48 @@ def test_mlp_input_jacobian_identity_when_mlp_disabled():
     params = random_params(small_config(L=1), seed=17)
     x = np.random.default_rng(18).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x, params, cfg)
-    assert np.array_equal(mlp_input_jacobian(trace, 0).matrix,
+    assert np.array_equal(mlp_input_jacobian(trace, 0),
                           np.eye(cfg.n * cfg.d))
+
+
+def _kron_mlp_input_jacobian(trace, layer):
+    """Dense K-hat as Kronecker factors, (W2^T kron I_n) diag(act') (W1^T kron
+    I_n): the oracle for the scattered token blocks."""
+    cfg = trace.config
+    if not cfg.use_mlp:
+        return np.eye(cfg.n * cfg.d)
+    bp = trace.params.blocks[layer]
+    eye_n = np.eye(cfg.n)
+    act = activation_derivative(cfg.activation, trace.blocks[layer].mlp_pre)
+    return (kron(bp.mlp_W2.T, eye_n) * vec(act)) @ kron(bp.mlp_W1.T, eye_n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(activation=st.sampled_from(["gelu", "relu"]), use_mlp=st.booleans(),
+       n=st.integers(1, 5), d=st.integers(1, 6), hidden=st.integers(1, 8),
+       dead=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_property_mlp_token_blocks_match_kron_form(activation, use_mlp, n, d,
+                                                   hidden, dead, seed):
+    """Scattered token blocks equal the Kronecker-factor K-hat, and their
+    condition number equals the dense one; ``dead`` hidden units get a large
+    negative bias, so their act' is 0 for every token."""
+    cfg = ModelConfig(L=1, n=n, d=d, h=1, attention_scale=1.0,
+                      activation=activation, use_skip=False, use_mlp=use_mlp,
+                      mlp_hidden=hidden)
+    params = random_params(cfg, seed=seed)
+    params.blocks[0].mlp_b1[:dead] = -1e6
+    x = np.random.default_rng(seed + 1).standard_normal((n, d))
+    trace = network_forward(x, params, cfg)
+    oracle = _kron_mlp_input_jacobian(trace, 0)
+    blocks = mlp_token_blocks(trace, 0)
+    assert blocks.shape == (n, d, d)
+    assert np.allclose(mlp_input_jacobian(trace, 0), oracle, rtol=0,
+                       atol=1e-14 * max(1.0, np.max(np.abs(oracle))))
+    got, want = condition_number(blocks), condition_number(oracle)
+    if want.is_infinite or got.is_infinite:
+        assert got.is_infinite and want.is_infinite
+    else:
+        assert got.value == pytest.approx(want.value, rel=1e-9)
 
 
 # --- parameter Jacobian ------------------------------------------------------
@@ -317,7 +358,7 @@ def test_chain_last_layer_reduces_to_local_term():
     trace = network_forward(x0, params, cfg)
     got = block_chain_jacobian(trace, 1).matrix
     local = sa_param_jacobian(trace, 1).matrix
-    k_hat = mlp_input_jacobian(trace, 1).matrix
+    k_hat = mlp_input_jacobian(trace, 1)
     expected = (k_hat + np.eye(cfg.n * cfg.d)) @ local
     assert np.max(np.abs(got - expected)) < 1e-12
     fd = _fd_chain(trace, params, cfg, x0, 1)
@@ -335,7 +376,7 @@ def test_chain_skipless_identity_mlp():
     x0 = np.random.default_rng(27).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x0, params, cfg)
     got = block_chain_jacobian(trace, 0).matrix
-    expected = mlp_input_jacobian(trace, 0).matrix @ sa_param_jacobian(trace, 0).matrix
+    expected = mlp_input_jacobian(trace, 0) @ sa_param_jacobian(trace, 0).matrix
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -360,11 +401,11 @@ def _forward_product_chain(trace, layer):
     cfg = trace.config
     eye = np.eye(cfg.n * cfg.d)
     skip = eye if cfg.use_skip else 0.0
-    j = (mlp_input_jacobian(trace, layer).matrix + skip) @ \
+    j = (mlp_input_jacobian(trace, layer) + skip) @ \
         sa_param_jacobian(trace, layer).matrix
     for i in range(layer + 1, cfg.L):
-        j = (sa_input_jacobian(trace, i).matrix + skip) @ j
-        j = (mlp_input_jacobian(trace, i).matrix + skip) @ j
+        j = (sa_input_jacobian(trace, i) + skip) @ j
+        j = (mlp_input_jacobian(trace, i) + skip) @ j
     return j
 
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skiplab.linalg import (BudgetError, SvdConvergenceError, commutation_matrix,
                             commutation_permutation, condition_number, kron,
-                            sample_orthogonal, singular_values, unvec, vec)
+                            kron_eye_apply, sample_orthogonal, singular_values,
+                            unvec, vec)
 
 
 def test_vec_is_column_major():
@@ -145,6 +149,39 @@ def test_condition_number_kron_multiplies():
         ka, kb = condition_number(a).value, condition_number(b).value
         kab = condition_number(kron(a, b)).value
         assert abs(kab - ka * kb) / (ka * kb) < 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 4), rows=st.integers(1, 5), cols=st.integers(1, 5),
+       zero_rows=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_property_condition_number_of_stack_is_block_diagonal(k, rows, cols,
+                                                              zero_rows, seed):
+    """A (k, r, c) stack has the singular values and condition number of its
+    dense block-diagonal matrix; blocks of different scale set sigma_max and sigma_min apart, and
+    zeroed rows make the last block rank deficient."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((k, rows, cols))
+    blocks *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, 1))
+    blocks[-1, :zero_rows] = 0.0
+    dense = scipy.linalg.block_diag(*blocks)
+    s = singular_values(blocks.reshape(k * rows, cols), blocks=k)
+    assert np.allclose(s, singular_values(dense), rtol=1e-12, atol=1e-14 * s[0])
+    got = condition_number(blocks)
+    want = condition_number(dense)
+    assert isinstance(got.value, float)
+    if want.is_infinite or got.is_infinite:
+        assert got.is_infinite and want.is_infinite
+    else:
+        assert got.value == pytest.approx(want.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("r,c,n,k", [(3, 2, 4, 5), (1, 4, 2, 3), (2, 6, 1, 2)])
+def test_kron_eye_apply_matches_dense_kron(r, c, n, k):
+    rng = np.random.default_rng(r * 100 + c * 10 + n)
+    m = rng.standard_normal((r, c))
+    a = rng.standard_normal((c * n, k))
+    assert np.allclose(kron_eye_apply(m, a), kron(m, np.eye(n)) @ a,
+                       rtol=0, atol=1e-13)
 
 
 def test_condition_number_tolerance_validation():
