@@ -96,8 +96,7 @@ SCHEMAS: dict[str, dict] = {
               "log_every": (int, 1), "kappa_probe_every": (int, 0)},
     "init-report": {"d": (int, 64), "heads": (int, 1), "alpha": (float, 2.0),
                     "beta": (float, 0.6), "c": (float, 3.0),
-                    "trunc_std": (float, 0.02), "trials": (int, 10),
-                    "tokens": (int, 16)},
+                    "trials": (int, 10), "tokens": (int, 16)},
 }
 
 

@@ -6,11 +6,10 @@ optimizers with decoupled weight decay, and conditioning probes along the loss
 trajectory.  The network head is the simplest thing that exercises the blocks:
 mean-pool the final tokens, apply a linear classifier, cross-entropy.
 
-The training forward calls :func:`skiplab.model.self_attention` and
-:func:`skiplab.model.mlp_forward` on the whole batch and adds only an optional
-pre-LayerNorm (off by default; all conditioning claims are stated for the
-un-normalized blocks).  Parameters, gradients and optimizer moments are flat
-float64 vectors (:class:`FlatParams`).
+The training forward is :func:`skiplab.model.network_forward` on the whole
+batch, the same forward whose per-sample trace feeds the Jacobians, and the
+backward pass reads that trace.  Parameters, gradients and optimizer moments
+are flat float64 vectors (:class:`FlatParams`).
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import numpy as np
 
 from .analysis import ExperimentRecord, condition_profile_for_params
 from .init import InitSpec, init_network, truncated_normal
-from .model import (BlockParams, ModelConfig, NetworkParams,
-                    activation_derivative, mlp_forward, self_attention)
+from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
+                    NetworkParams, activation_derivative, network_forward)
 
 OPTIMIZERS = ("sgd_momentum", "adam_decoupled")
 
@@ -33,7 +32,6 @@ OPTIMIZERS = ("sgd_momentum", "adam_decoupled")
 # column-major per matrix), sample_count u32 labels.
 MAGIC = b"SKLS"
 VERSION = 1
-_LN_EPS = 1e-6
 
 
 class TensorFileError(ValueError):
@@ -65,10 +63,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.tokens.shape[0]
 
-    @property
-    def samples(self):
-        return [(self.tokens[i], int(self.labels[i])) for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -83,7 +77,6 @@ class TrainConfig:
     steps: int = 100
     batch_size: int = 16
     kappa_probe_every: int = 0  # 0 = never
-    use_layernorm: bool = False
     head_std: float = 0.02
     seed: int = 0
 
@@ -92,6 +85,10 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.kappa_probe_every < 0:
+            raise ValueError("kappa_probe_every must be >= 0 (0 = never)")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -212,46 +209,25 @@ def _stacked_outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
 
-def _layernorm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
-    return xc * inv, inv
+def _forward_batch(x: np.ndarray, params: NetworkParams,
+                   config: ModelConfig) -> ForwardTrace:
+    """The training forward: :func:`network_forward` on (batch, n, d) tokens.
 
-
-def _layernorm_backward(dy: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    mean_dy = dy.mean(axis=-1, keepdims=True)
-    mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
-    return (dy - mean_dy - y * mean_dyy) * inv
-
-
-def _forward_batch(x: np.ndarray, params: NetworkParams, config: ModelConfig,
-                   use_layernorm: bool) -> tuple[np.ndarray, list[tuple]]:
-    """The block stack on (batch, n, d) tokens, with an optional LayerNorm in
-    front of each stage; caches (z, inv, attention, z2, inv2, mlp) per layer."""
-    caches = []
-    for bp in params.blocks:
-        z, inv = _layernorm(x) if use_layernorm else (x, None)
-        sa = self_attention(z, bp, config)
-        x_attn = x + sa.out if config.use_skip else sa.out
-        z2 = inv2 = mlp = None
-        x = x_attn
-        if config.use_mlp:
-            z2, inv2 = _layernorm(x_attn) if use_layernorm else (x_attn, None)
-            mlp = mlp_forward(z2, bp, config)
-            x = x_attn + mlp.out if config.use_skip else mlp.out
-        caches.append((z, inv, sa, z2, inv2, mlp))
-    return x, caches
+    A named step of its own only so that the benchmark's tracer, which times
+    ``harness._forward_batch`` by name, and ``tests/test_bench_tracer.py``,
+    which counts its calls, keep measuring the training forward."""
+    return network_forward(x, params, config)
 
 
 def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
-                       y: np.ndarray, config: ModelConfig,
-                       use_layernorm: bool = False) -> float:
+                       y: np.ndarray, config: ModelConfig) -> float:
     """Cross-entropy of mean-pooled final tokens; writes its exact gradient
-    into ``grads`` (same layout as ``params``)."""
-    out, caches = _forward_batch(x, params.network, config, use_layernorm)
+    into ``grads`` (same layout as ``params``).  Raises
+    :class:`~skiplab.model.DivergenceError` if the forward goes non-finite."""
+    trace = _forward_batch(x, params.network, config)
     batch = x.shape[0]
 
-    pooled = out.mean(axis=1)
+    pooled = trace.output.mean(axis=1)
     logits = pooled @ params.head_w + params.head_b
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -264,19 +240,17 @@ def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
     np.sum(dlogits, axis=0, out=grads.head_b)
     dx = np.repeat((dlogits @ params.head_w.T)[:, None, :] / config.n, config.n, axis=1)
 
-    for bp, g, (z, inv, sa, z2, inv2, mlp) in zip(
-            reversed(params.network.blocks), reversed(grads.network.blocks), reversed(caches)):
+    for bp, g, bt in zip(reversed(params.network.blocks), reversed(grads.network.blocks),
+                         reversed(trace.blocks)):
+        sa, mlp = bt.sa, bt.mlp
         if config.use_mlp:
             _stacked_outer(mlp.act, dx, g.mlp_W2)
             np.sum(dx, axis=(0, 1), out=g.mlp_b2)
             dpre = (dx @ bp.mlp_W2.T) * activation_derivative(
                 config.activation, mlp.pre, mlp.cdf)
-            _stacked_outer(z2, dpre, g.mlp_W1)
+            _stacked_outer(bt.post_attention, dpre, g.mlp_W1)
             np.sum(dpre, axis=(0, 1), out=g.mlp_b1)
-            dz2 = dpre @ bp.mlp_W1.T
-            if use_layernorm:
-                dz2 = _layernorm_backward(dz2, z2, inv2)
-            dx_attn = dz2 + (dx if config.use_skip else 0.0)
+            dx_attn = dpre @ bp.mlp_W1.T + (dx if config.use_skip else 0.0)
         else:
             dx_attn = dx
 
@@ -292,13 +266,11 @@ def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
             dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / config.attention_scale
             dq[..., blk] = dm @ sa.k[..., blk]
             dk[..., blk] = dm.transpose(0, 2, 1) @ sa.q[..., blk]
-        _stacked_outer(z, dq, g.W_Q)
-        _stacked_outer(z, dk, g.W_K)
-        _stacked_outer(z, dv, g.W_V)
-        dz = dq @ bp.W_Q.T + dk @ bp.W_K.T + dv @ bp.W_V.T
-        if use_layernorm:
-            dz = _layernorm_backward(dz, z, inv)
-        dx = dz + (dx_attn if config.use_skip else 0.0)
+        _stacked_outer(bt.x_in, dq, g.W_Q)
+        _stacked_outer(bt.x_in, dk, g.W_K)
+        _stacked_outer(bt.x_in, dv, g.W_V)
+        dx = (dq @ bp.W_Q.T + dk @ bp.W_K.T + dv @ bp.W_V.T
+              + (dx_attn if config.use_skip else 0.0))
     return loss
 
 
@@ -365,9 +337,10 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
 def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
     """Deterministic single-threaded minibatch training.
 
-    Stops early with the divergence flag on the first non-finite loss; the
-    partial loss log is preserved.  Conditioning probes run the analysis
-    profile on the current weights (pure measurement, parameters untouched).
+    Stops early with the divergence flag on the first non-finite forward or
+    loss; the partial loss log is preserved.  Conditioning probes run the
+    analysis profile on the current weights (pure measurement, parameters
+    untouched).
     """
     mc = config.model
     if dataset.n != mc.n or dataset.d_in != mc.d:
@@ -390,13 +363,17 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
     size = len(dataset)
     batch_size = min(config.batch_size, size)
     for step in range(config.steps):
-        if config.kappa_probe_every and step % config.kappa_probe_every == 0:
-            probe_input = np.random.default_rng(config.seed).standard_normal((mc.n, mc.d))
-            log.probes.append((step, condition_profile_for_params(
-                params.network, mc, [probe_input], config.seed, include_param_jacobian=False)))
         idx = rng.choice(size, size=batch_size, replace=False)
-        loss = loss_and_gradients(params, grads, dataset.tokens[idx],
-                                  dataset.labels[idx].astype(int), mc, config.use_layernorm)
+        try:
+            if config.kappa_probe_every and step % config.kappa_probe_every == 0:
+                probe_input = np.random.default_rng(config.seed).standard_normal((mc.n, mc.d))
+                log.probes.append((step, condition_profile_for_params(
+                    params.network, mc, [probe_input], config.seed,
+                    include_param_jacobian=False)))
+            loss = loss_and_gradients(params, grads, dataset.tokens[idx],
+                                      dataset.labels[idx].astype(int), mc)
+        except DivergenceError:
+            loss = np.nan
         if not np.isfinite(loss):
             log.diverged = True
             log.diverged_step = step

@@ -107,7 +107,7 @@ def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> np.n
     cfg = trace.config
     bt = trace.blocks[layer]
     _, _, p = _head_blocks(trace.params.blocks[layer], head, cfg.d_h)
-    ja = softmax_jacobian(bt.attention[head])
+    ja = softmax_jacobian(bt.sa.attention[head])
     jm = logits_input_jacobian(bt.x_in, p, cfg.attention_scale)
     return ja @ jm
 
@@ -125,7 +125,7 @@ def sa_split(trace: ForwardTrace, layer: int,
     for i in range(cfg.h):
         w_v, w_o, _ = _head_blocks(trace.params.blocks[layer], i, cfg.d_h)
         g = w_v @ w_o
-        b += kron(g.T, bt.attention[i])
+        b += kron(g.T, bt.sa.attention[i])
         m.append((bt.x_in @ g).T)
         a_prime.append(attention_input_jacobian(trace, layer, i))
     return b, np.hstack(m), np.vstack(a_prime)
@@ -145,7 +145,8 @@ def mlp_token_blocks(trace: ForwardTrace, layer: int) -> np.ndarray:
     if not cfg.use_mlp:
         return np.tile(np.eye(cfg.d), (cfg.n, 1, 1))
     bp = trace.params.blocks[layer]
-    act = activation_derivative(cfg.activation, trace.blocks[layer].mlp_pre)
+    mlp = trace.blocks[layer].mlp
+    act = activation_derivative(cfg.activation, mlp.pre, mlp.cdf)
     return (bp.mlp_W2.T * act[:, None, :]) @ bp.mlp_W1.T
 
 
@@ -189,7 +190,7 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
         blk = bp.head_slice(i, d_h)
         w_q, w_k = bp.W_Q[:, blk], bp.W_K[:, blk]
         w_v, w_o = bp.W_V[:, blk], bp.W_O[blk, :]
-        a = bt.attention[i]
+        a = bt.sa.attention[i]
         v = x @ w_v
         concat[:, blk] = a @ v
         t = kron_eye_apply((x @ w_v @ w_o).T, softmax_jacobian(a))

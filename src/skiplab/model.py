@@ -10,9 +10,10 @@ with the bracketed identity paths present only when skips are enabled.  The
 attention matrix of head i is the row-softmax of X W_Q,i W_K,i^T X^T divided
 by ``attention_scale``.
 
-:func:`self_attention` and :func:`mlp_forward` take (..., n, d) tokens and
-are the block's only implementation: the per-sample :func:`network_forward`,
-whose trace feeds the Jacobians, and the batched trainer both call them.
+:func:`network_forward` is the only walk over the layers, for one (n, d)
+sample or a (..., n, d) batch: the Jacobians read its per-sample trace and the
+trainer's backward pass reads its batched trace.  :func:`self_attention` and
+:func:`mlp_forward` are the block's only implementation.
 """
 
 from __future__ import annotations
@@ -94,13 +95,14 @@ class NetworkParams:
 
 @dataclass
 class BlockTrace:
-    """Cached intermediates of one block forward pass; ``attention`` holds one
-    n x n matrix per head."""
+    """Cached intermediates of one block on (..., n, d) tokens: its input, the
+    attention stage's results and output (skip included), the MLP stage's
+    results (None without an MLP) and the block output."""
 
     x_in: np.ndarray
-    attention: list[np.ndarray]
+    sa: Attention
     post_attention: np.ndarray
-    mlp_pre: np.ndarray | None
+    mlp: MLP | None
     output: np.ndarray
 
 
@@ -175,17 +177,6 @@ def row_softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention_logits(x: np.ndarray, params: BlockParams, head: int,
-                     config: ModelConfig) -> np.ndarray:
-    """Scaled logits of one head: X W_Q,i W_K,i^T X^T / attention_scale."""
-    if not 0 <= head < config.h:
-        raise IndexError(f"head {head} out of range for h={config.h}")
-    cols = params.head_slice(head, config.d_h)
-    q = x @ params.W_Q[:, cols]
-    k = x @ params.W_K[:, cols]
-    return (q @ k.T) / config.attention_scale
-
-
 def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> Attention:
     """Multi-head self-attention Concat_i(A_i X W_V,i) W_O on (..., n, d) tokens.
 
@@ -219,24 +210,24 @@ def block_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> Bl
     """One block: attention stage then MLP stage, each with an optional skip."""
     sa = self_attention(x, params, config)
     x_attn = x + sa.out if config.use_skip else sa.out
-    pre, x_out = None, x_attn
+    mlp, x_out = None, x_attn
     if config.use_mlp:
         mlp = mlp_forward(x_attn, params, config)
-        pre = mlp.pre
         x_out = x_attn + mlp.out if config.use_skip else mlp.out
-    return BlockTrace(x_in=x, attention=sa.attention, post_attention=x_attn,
-                      mlp_pre=pre, output=x_out)
+    return BlockTrace(x_in=x, sa=sa, post_attention=x_attn, mlp=mlp, output=x_out)
 
 
 def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) -> ForwardTrace:
-    """Apply all L blocks, caching every intermediate.
+    """Apply all L blocks to (..., n, d) tokens, caching every intermediate.
 
-    Raises :class:`DivergenceError` naming the first layer whose output goes
+    Leading axes are a batch: every array in the trace keeps them.  Raises
+    :class:`DivergenceError` naming the first layer whose output goes
     non-finite (deep skipless stacks can overflow); never returns NaNs.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (config.n, config.d):
-        raise ValueError(f"input shape {x0.shape} != (n, d) = {(config.n, config.d)}")
+    if x0.shape[-2:] != (config.n, config.d):
+        raise ValueError(f"input shape {x0.shape} does not end in (n, d) = "
+                         f"{(config.n, config.d)}")
     if len(params.blocks) != config.L:
         raise ValueError(f"{len(params.blocks)} blocks for L={config.L}")
     traces = []

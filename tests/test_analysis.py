@@ -118,7 +118,7 @@ def test_perturbation_split_is_exact_decomposition():
     trace, params, cfg = _single_head_trace(8, 16, "proposed", 0, 4.0)
     bp = params.blocks[0]
     g = bp.W_V @ bp.W_O
-    b = kron(g.T, trace.blocks[0].attention[0])
+    b = kron(g.T, trace.blocks[0].sa.attention[0])
     e = kron((trace.blocks[0].x_in @ g).T, np.eye(8)) @ \
         attention_input_jacobian(trace, 0, 0)
     k = sa_input_jacobian(trace, 0)

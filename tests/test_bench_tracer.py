@@ -39,9 +39,10 @@ def test_every_traced_name_resolves_to_a_callable():
 
 
 def test_traced_training_runs_the_model_forward():
-    """Under the tracer, training reaches model.self_attention and
-    model.mlp_forward once per layer and step, and the counters that read
-    ForwardTrace.params and BlockTrace.x_in run on real arguments."""
+    """Under the tracer, each training step runs model.network_forward once,
+    which reaches model.self_attention and model.mlp_forward once per layer,
+    and the counters that read ForwardTrace.params and BlockTrace.x_in run on
+    real arguments."""
     mc = ModelConfig(L=2, n=4, d=8, h=2, attention_scale=2.0, use_skip=False,
                      mlp_hidden=8)
     cfg = TrainConfig(model=mc, init=InitSpec(scheme="proposed", seed=0),
@@ -59,8 +60,9 @@ def test_traced_training_runs_the_model_forward():
     # 3 steps x 2 layers in training, plus 2 layers in network_forward.
     assert table["model.self_attention"]["calls"] == 8
     assert table["model.mlp_forward"]["calls"] == 8
-    assert table["model.network_forward"]["calls"] == 1
-    assert t.distinct("model.network_forward") == 1
+    # 3 training steps on distinct weights, plus the explicit call.
+    assert table["model.network_forward"]["calls"] == 4
+    assert t.distinct("model.network_forward") == 4
     assert t.distinct("jacobian.sa_input_jacobian") == 1
 
 

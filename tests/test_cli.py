@@ -239,6 +239,24 @@ def test_train_command_missing_data_file_is_domain_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--batch-size", "0"),
+                                         ("--kappa-probe-every", "-1")])
+def test_train_command_rejects_bad_counts(tmp_path, flag, value):
+    """An empty batch or a negative probe interval is a domain error, not a
+    divergence: exit 1 and no report."""
+    out = tmp_path / "t.csv"
+    assert main(["train", "--n", "4", "--d", "8", "--layers", "1",
+                 "--mlp-hidden", "8", "--samples", "8", "--steps", "2",
+                 flag, value, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_init_report_rejects_trunc_std(tmp_path):
+    """init-report draws no truncated-normal weights, so it takes no trunc_std."""
+    assert main(["init-report", "--trunc-std", "5",
+                 "--out", str(tmp_path / "i.csv")]) == 2
+
+
 def test_init_report_command(tmp_path):
     out = tmp_path / "i.csv"
     assert main(["init-report", "--d", "16", "--trials", "2",

@@ -214,26 +214,25 @@ def test_flat_params_layout_and_digest():
 @pytest.mark.parametrize("h", [1, 2])
 @pytest.mark.parametrize("use_skip", [True, False])
 def test_training_forward_is_network_forward(h, use_skip):
-    """The batched training forward and the per-sample traced forward are the
-    same computation: equal to the last bit on every sample."""
+    """The training forward's batched trace and the per-sample traced forward
+    agree to the last bit on every sample."""
     mc = toy_model(h=h, use_skip=use_skip)
     params = init_network(mc, InitSpec(scheme="proposed", seed=2))
     x = np.random.default_rng(3).standard_normal((5, mc.n, mc.d))
-    out, _ = _forward_batch(x, params, mc, use_layernorm=False)
+    out = _forward_batch(x, params, mc).output
     for b in range(len(x)):
         assert np.array_equal(out[b], network_forward(x[b], params, mc).output)
 
 
 # --- gradients against finite differences ----------------------------------------
 
-def _fd_gradient_error(mc, params, x, y, use_layernorm):
+def _fd_gradient_error(mc, params, x, y):
     grads = params.zeros_like()
-    loss_and_gradients(params, grads, x, y, mc, use_layernorm)
+    loss_and_gradients(params, grads, x, y, mc)
 
     def loss_at(v):
         params.vector[:] = v
-        return np.array([loss_and_gradients(params, params.zeros_like(), x, y, mc,
-                                            use_layernorm)])
+        return np.array([loss_and_gradients(params, params.zeros_like(), x, y, mc)])
 
     fd = finite_difference_jacobian(loss_at, params.vector.copy()).ravel()
     return np.linalg.norm(grads.vector - fd) / np.linalg.norm(fd)
@@ -247,17 +246,7 @@ def test_backward_matches_fd(use_skip):
     params = FlatParams(net, 0.1 * rng.standard_normal((mc.d, 3)), np.zeros(3))
     x = rng.standard_normal((3, mc.n, mc.d))
     y = np.array([0, 2, 1])
-    assert _fd_gradient_error(mc, params, x, y, use_layernorm=False) < 1e-5
-
-
-def test_backward_matches_fd_with_layernorm():
-    mc = toy_model(use_skip=False)
-    net = init_network(mc, InitSpec(scheme="proposed", seed=3))
-    rng = np.random.default_rng(4)
-    params = FlatParams(net, 0.1 * rng.standard_normal((mc.d, 3)), np.zeros(3))
-    x = rng.standard_normal((2, mc.n, mc.d))
-    y = np.array([1, 0])
-    assert _fd_gradient_error(mc, params, x, y, use_layernorm=True) < 1e-5
+    assert _fd_gradient_error(mc, params, x, y) < 1e-5
 
 
 # --- training loop ----------------------------------------------------------------
@@ -334,16 +323,19 @@ def test_train_skip_default_loss_decreases_first_200_steps():
 
 
 def test_train_divergence_flag_preserves_partial_log():
+    """A forward that overflows, in training or in a probe, is recorded as a
+    divergence at that step rather than raised."""
     mc = toy_model(use_skip=False, attention_scale=1.0)
     ds = synth_task(4, 8, 3, 16, 0.1, seed=10)
-    # Absurd learning rate forces the skipless stack to overflow.
-    cfg = toy_train_config(model=mc, lr=1e150, steps=50, batch_size=16,
-                           optimizer="sgd_momentum")
-    with np.errstate(all="ignore"):
-        log = train(ds, cfg)
-    assert log.diverged
-    assert log.diverged_step is not None
-    assert len(log.losses) == log.diverged_step
+    for probe_every in (0, 1):
+        # Absurd learning rate forces the skipless stack to overflow.
+        cfg = toy_train_config(model=mc, lr=1e150, steps=50, batch_size=16,
+                               optimizer="sgd_momentum", kappa_probe_every=probe_every)
+        with np.errstate(all="ignore"):
+            log = train(ds, cfg)
+        assert log.diverged
+        assert log.diverged_step is not None
+        assert len(log.losses) == log.diverged_step
 
 
 def test_train_probe_does_not_mutate_parameters():
@@ -359,6 +351,14 @@ def test_train_probe_does_not_mutate_parameters():
         assert all("kappa_K" in r.metrics for r in records)
 
 
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("kappa_probe_every", -1)])
+def test_train_config_rejects_bad_counts(field, value):
+    """An empty batch would average to a NaN loss and read as a divergence;
+    a negative probe interval would probe every step."""
+    with pytest.raises(ValueError, match=field):
+        toy_train_config(**{field: value})
+
+
 def test_train_shape_mismatch_rejected():
     ds = synth_task(4, 16, 3, 8, 0.1, seed=12)
     with pytest.raises(ValueError):
@@ -372,11 +372,3 @@ def test_params_digest_sensitivity():
     b[0] = 1e-300
     assert params_digest(a) != params_digest(b)
 
-
-def test_dataset_samples_view():
-    ds = synth_task(3, 4, 2, 5, 0.0, seed=13)
-    samples = ds.samples
-    assert len(samples) == 5
-    x0, y0 = samples[0]
-    assert x0.shape == (3, 4)
-    assert y0 == int(ds.labels[0])

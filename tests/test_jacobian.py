@@ -162,7 +162,7 @@ def test_sa_input_jacobian_saturated_reduces_to_kron_term():
     x = np.linalg.qr(np.random.default_rng(8).standard_normal((cfg.d, cfg.n)))[0].T
     trace = network_forward(x, params, cfg)
     k = sa_input_jacobian(trace, 0)
-    expected = kron((bp.W_V @ bp.W_O).T, trace.blocks[0].attention[0])
+    expected = kron((bp.W_V @ bp.W_O).T, trace.blocks[0].sa.attention[0])
     assert np.max(np.abs(k - expected)) < 1e-8
 
 
@@ -249,7 +249,7 @@ def _kron_mlp_input_jacobian(trace, layer):
         return np.eye(cfg.n * cfg.d)
     bp = trace.params.blocks[layer]
     eye_n = np.eye(cfg.n)
-    act = activation_derivative(cfg.activation, trace.blocks[layer].mlp_pre)
+    act = activation_derivative(cfg.activation, trace.blocks[layer].mlp.pre)
     return (kron(bp.mlp_W2.T, eye_n) * vec(act)) @ kron(bp.mlp_W1.T, eye_n)
 
 
@@ -292,7 +292,7 @@ def test_sa_param_jacobian_wo_block_is_linear_term():
     j = sa_param_jacobian(trace, 0).matrix
     d = cfg.d
     wo_block = j[:, 3 * d * d:]
-    a = trace.blocks[0].attention[0]
+    a = trace.blocks[0].sa.attention[0]
     expected = kron(np.eye(d), a @ x @ bp.W_V)
     assert np.max(np.abs(wo_block - expected)) < 1e-12
 
@@ -542,7 +542,7 @@ def test_property_chain_and_permutations(instance):
         assert relative_frobenius(got, fd) < 1e-5, layer
 
     # Each permuted Jacobian equals its dense commutation-matrix form.
-    a = trace.blocks[0].attention[0]
+    a = trace.blocks[0].sa.attention[0]
     blocks = np.zeros((n * n, n * n))
     for i in range(n):
         blocks[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.diag(a[i]) - np.outer(a[i], a[i])

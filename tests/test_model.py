@@ -3,9 +3,8 @@ import pytest
 
 from skiplab.init import InitSpec, init_network
 from skiplab.model import (BlockParams, DivergenceError, ModelConfig,
-                           NetworkParams, attention_logits, block_forward,
-                           mlp_forward, network_forward, row_softmax,
-                           self_attention)
+                           NetworkParams, block_forward, mlp_forward,
+                           network_forward, row_softmax, self_attention)
 
 
 def small_config(**kw):
@@ -77,42 +76,18 @@ def test_row_softmax_rejects_bad_temperature():
         row_softmax(np.zeros((2, 2)), 0.0)
 
 
-def test_attention_logits_identity_product():
-    cfg = small_config(h=1, attention_scale=1.0)
-    params = random_params(cfg, seed=3)
-    params.blocks[0].W_Q = np.eye(cfg.d)
-    params.blocks[0].W_K = np.eye(cfg.d)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((cfg.n, cfg.d))
-    assert np.allclose(attention_logits(x, params.blocks[0], 0, cfg), x @ x.T,
-                       atol=1e-12)
-
-
-def test_attention_logits_recovers_p_at_identity_tokens():
-    cfg = ModelConfig(L=1, n=8, d=8, h=1, attention_scale=1.0, use_mlp=False)
-    rng = np.random.default_rng(5)
-    p = rng.standard_normal((8, 8))
-    bp = BlockParams(W_Q=p, W_K=np.eye(8), W_V=np.eye(8), W_O=np.eye(8))
-    assert np.allclose(attention_logits(np.eye(8), bp, 0, cfg), p, atol=1e-13)
-
-
 def test_attention_logits_matches_triple_product():
+    """Head i's attention is the row-softmax of X W_Q,i W_K,i^T X^T / s."""
     cfg = small_config(h=2, attention_scale=1.7)
     params = random_params(cfg, seed=6)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((cfg.n, cfg.d))
+    bp = params.blocks[0]
+    attention = self_attention(x, bp, cfg).attention
     for head in range(2):
         cols = slice(head * cfg.d_h, (head + 1) * cfg.d_h)
-        bp = params.blocks[0]
-        expected = x @ bp.W_Q[:, cols] @ bp.W_K[:, cols].T @ x.T / 1.7
-        assert np.allclose(attention_logits(x, bp, head, cfg), expected, atol=1e-12)
-
-
-def test_attention_logits_head_out_of_range():
-    cfg = small_config()
-    params = random_params(cfg)
-    with pytest.raises(IndexError):
-        attention_logits(np.zeros((cfg.n, cfg.d)), params.blocks[0], 5, cfg)
+        logits = x @ bp.W_Q[:, cols] @ bp.W_K[:, cols].T @ x.T / 1.7
+        assert np.allclose(attention[head], row_softmax(logits), atol=1e-12)
 
 
 def test_self_attention_identity_attention_limit():
@@ -202,7 +177,7 @@ def test_block_forward_mlp_bypass():
     x = np.random.default_rng(20).standard_normal((cfg.n, cfg.d))
     bt = block_forward(x, params.blocks[0], cfg)
     assert np.array_equal(bt.output, bt.post_attention)
-    assert bt.mlp_pre is None
+    assert bt.mlp is None
 
 
 def test_network_forward_zero_layers():
@@ -227,7 +202,7 @@ def test_network_forward_attention_rows_stochastic():
     x = np.random.default_rng(24).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x, params, cfg)
     for bt in trace.blocks:
-        for a in bt.attention:
+        for a in bt.sa.attention:
             assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-12
             assert np.all(a >= 0.0)
 
@@ -268,10 +243,20 @@ def test_network_forward_divergence_names_layer():
             W_V=np.full((d, d), 1e200), W_O=np.full((d, d), 1e200),
             mlp_W1=np.eye(d, m), mlp_b1=np.zeros(m),
             mlp_W2=np.eye(m, d), mlp_b2=np.zeros(d)))
-    x = np.ones((cfg.n, d))
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        network_forward(x, NetworkParams(blocks), cfg)
-    assert info.value.layer == 0
+    for shape in ((cfg.n, d), (3, cfg.n, d)):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            network_forward(np.ones(shape), NetworkParams(blocks), cfg)
+        assert info.value.layer == 0
+
+
+def test_network_forward_checks_token_axes():
+    """Leading axes are a batch; the last two must be (n, d)."""
+    cfg = small_config()
+    params = random_params(cfg, seed=29)
+    x = np.random.default_rng(30).standard_normal((2, cfg.n, cfg.d))
+    assert network_forward(x, params, cfg).output.shape == x.shape
+    with pytest.raises(ValueError, match="does not end in"):
+        network_forward(np.zeros((2, cfg.n + 1, cfg.d)), params, cfg)
 
 
 def test_multihead_invariant_under_head_permutation():
