@@ -20,6 +20,11 @@ by token, with blocks W2^T diag(act'(pre_a)) W1^T (:func:`mlp_token_blocks`).
 
 Note the left factor of K: (X G kron I_n)^T and ((X G)^T kron I_n) are the
 same matrix, so the two typographic variants of the formula agree.
+
+The finite-difference oracle's ``f`` maps a (k, p) stack of points to a
+(k, q) stack of values, and is called once per chunk of ``FD_CHUNK``
+coordinates: a map built on the forward (whose weights may carry stack axes)
+runs one stacked forward per chunk, not one per point.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ MAX_ND = 2048
 
 # Central differences with h ~ eps^(1/3) balance truncation and rounding.
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+# Coordinates perturbed per call of the oracle's f (2 * FD_CHUNK points).
+FD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -202,15 +210,17 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
     return ParamJacobian(matrix=np.hstack([dq, dk, dv, do]), layer=layer)
 
 
-def _chain(trace: ForwardTrace) -> Iterator[ParamJacobian]:
-    """Every layer's chain Jacobian from one backward sweep, last layer first.
+def _chain(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
+    """One backward sweep, last layer first: each layer with its downstream
+    factor D.
 
     D accumulates the derivative of the network output w.r.t. the current
     stage's output, D <- D M_l at each MLP stage and D <- D A_l at each
     attention stage, where M_l is K-hat_l (+ I with skips; I without an MLP)
-    and A_l is K_l (+ I with skips).  Layer l's chain Jacobian is
-    D sa_param_jacobian(l), taken between the two.  Each K and K-hat is built
-    once, and layer 0's K is never needed.
+    and A_l is K_l (+ I with skips).  Layer l is yielded with D taken between
+    the two; its chain Jacobian is D sa_param_jacobian(l), left to the caller
+    so a sweep stopped at one layer builds only that layer's.  Each K and
+    K-hat is built once, and layer 0's K is never needed.
     """
     cfg = trace.config
     eye = np.eye(cfg.n * cfg.d)
@@ -219,7 +229,7 @@ def _chain(trace: ForwardTrace) -> Iterator[ParamJacobian]:
         if cfg.use_mlp:
             m = mlp_input_jacobian(trace, layer)
             d = d @ (m + eye if cfg.use_skip else m)
-        yield ParamJacobian(d @ sa_param_jacobian(trace, layer).matrix, layer)
+        yield layer, d
         if layer > 0:
             k = sa_input_jacobian(trace, layer)
             d = d @ (k + eye if cfg.use_skip else k)
@@ -234,9 +244,9 @@ def block_chain_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
     """
     if not 0 <= layer < trace.config.L:
         raise IndexError(f"layer {layer} out of range for L={trace.config.L}")
-    for j in _chain(trace):
-        if j.layer == layer:
-            return j
+    for j, d in _chain(trace):
+        if j == layer:
+            return ParamJacobian(d @ sa_param_jacobian(trace, layer).matrix, layer)
 
 
 def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[ParamJacobian]:
@@ -245,35 +255,43 @@ def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[ParamJacobian]:
     if not traces:
         raise ValueError("batch must contain at least one sample")
     for pieces in zip(*map(_chain, traces)):
-        stacked = ParamJacobian(np.vstack([p.matrix for p in pieces]), pieces[0].layer)
-        # Drop the per-sample pieces before the caller holds the stack.
+        layer = pieces[0][0]
+        stacked = ParamJacobian(np.vstack([d @ sa_param_jacobian(t, layer).matrix
+                                           for t, (_, d) in zip(traces, pieces)]),
+                                layer)
+        # Drop the per-sample factors before the caller holds the stack.
         del pieces
         yield stacked
 
 
 def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
                                x0: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued f at x0.
+    """Central-difference Jacobian at x0 of an f that maps a (k, p) stack of
+    points to a (k, q) stack of values.
 
     Per-coordinate step h_j = step * max(1, |x0_j|) with the cube-root-of-eps
-    default.  Non-finite evaluations raise, naming the offending coordinate.
+    default.  Coordinates go in chunks of ``FD_CHUNK``, one call of f per
+    chunk on its +h_j points then its -h_j points.  Non-finite evaluations
+    raise, naming the first offending coordinate.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    h0 = FD_STEP if step is None else step
-    f0 = np.asarray(f(x0), dtype=float).ravel()
-    out = np.empty((f0.size, x0.size))
-    for j in range(x0.size):
-        h = h0 * max(1.0, abs(x0[j]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = np.asarray(f(xp), dtype=float).ravel()
-        fm = np.asarray(f(xm), dtype=float).ravel()
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+    h = (FD_STEP if step is None else step) * np.maximum(1.0, np.abs(x0))
+    columns = []
+    for start in range(0, x0.size, FD_CHUNK):
+        cols = np.arange(start, min(start + FD_CHUNK, x0.size))
+        k = cols.size
+        points = np.tile(x0, (2 * k, 1))
+        points[np.arange(k), cols] += h[cols]
+        points[np.arange(k, 2 * k), cols] -= h[cols]
+        values = np.asarray(f(points), dtype=float).reshape(2 * k, -1)
+        finite = np.all(np.isfinite(values), axis=1)
+        bad = ~(finite[:k] & finite[k:])
+        if bad.any():
+            j = cols[np.argmax(bad)]
             raise FloatingPointError(f"non-finite evaluation at coordinate {j}")
-        out[:, j] = (fp - fm) / (2.0 * h)
-    return out
+        columns.append((values[:k] - values[k:]) / (2.0 * h[cols, None]))
+    # C order: callers' norms sum in memory order, so it fixes their rounding.
+    return np.ascontiguousarray(np.vstack(columns).T)
 
 
 def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
@@ -288,19 +306,22 @@ def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def flatten_attention_params(bp: BlockParams) -> np.ndarray:
-    """(W_Q, W_K, W_V, W_O) flattened column-major, in that order."""
+    """(W_Q, W_K, W_V, W_O) flattened column-major, in that order; stacked
+    weights give a (..., 4d^2) stack."""
     from .linalg import vec
-    return np.concatenate([vec(bp.W_Q), vec(bp.W_K), vec(bp.W_V), vec(bp.W_O)])
+    return np.concatenate([vec(bp.W_Q), vec(bp.W_K), vec(bp.W_V), vec(bp.W_O)],
+                          axis=-1)
 
 
 def assign_attention_params(bp: BlockParams, theta: np.ndarray, d: int) -> None:
-    """Inverse of :func:`flatten_attention_params` (in place)."""
+    """Inverse of :func:`flatten_attention_params` (in place); a (..., 4d^2)
+    stack of thetas gives (..., d, d) stacked weights."""
     from .linalg import unvec
     d2 = d * d
-    bp.W_Q = unvec(theta[:d2], d, d)
-    bp.W_K = unvec(theta[d2:2 * d2], d, d)
-    bp.W_V = unvec(theta[2 * d2:3 * d2], d, d)
-    bp.W_O = unvec(theta[3 * d2:], d, d)
+    bp.W_Q = unvec(theta[..., :d2], d, d)
+    bp.W_K = unvec(theta[..., d2:2 * d2], d, d)
+    bp.W_V = unvec(theta[..., 2 * d2:3 * d2], d, d)
+    bp.W_O = unvec(theta[..., 3 * d2:], d, d)
 
 
 def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
@@ -310,7 +331,8 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     instance; used by the gate command and the acceptance suite.
 
     Gaussian weights of moderate size keep the maps in generic position (tiny
-    default-init weights would make relative errors meaningless)."""
+    default-init weights would make relative errors meaningless).  Each map
+    handed to the oracle evaluates a stack of points as one stacked forward."""
     from .linalg import unvec, vec
     from .model import ModelConfig, row_softmax, self_attention
 
@@ -329,7 +351,8 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     x = rng.standard_normal((n, d))
     p = rng.standard_normal((d, d))
     fd = finite_difference_jacobian(
-        lambda v: vec(unvec(v, n, d) @ p @ unvec(v, n, d).T / scale), vec(x))
+        lambda v: vec(unvec(v, n, d) @ p @ unvec(v, n, d).swapaxes(-1, -2) / scale),
+        vec(x))
     results["logits_input_jacobian"] = relative_frobenius(
         logits_input_jacobian(x, p, scale), fd)
 
@@ -360,7 +383,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
 
     def head_attention(v):
         xm = unvec(v, n, d)
-        return vec(row_softmax(xm @ p0 @ xm.T / scale, 1.0))
+        return vec(row_softmax(xm @ p0 @ xm.swapaxes(-1, -2) / scale, 1.0))
 
     fd = finite_difference_jacobian(head_attention, vec(x0))
     results["attention_input_jacobian"] = relative_frobenius(

@@ -3,7 +3,9 @@
 Everything downstream differentiates matrix-valued maps through vectorized
 coordinates, so the one convention that matters lives here: ``vec`` stacks
 columns.  Under that convention vec(A X B) = (B^T kron A) vec(X), which is the
-form every Kronecker factor in the attention Jacobian takes.
+form every Kronecker factor in the attention Jacobian takes.  ``vec`` maps a
+(..., r, c) stack of matrices to a (..., r*c) stack of vectors, matrix by
+matrix, and ``unvec`` maps it back.
 
 All matrices are dense float64 ndarrays; condition numbers come from full
 SVDs (desk-scale sizes), never from iterative estimators.  A block-diagonal
@@ -40,19 +42,21 @@ def _check_budget(rows: int, cols: int, max_elements: int) -> None:
 
 
 def vec(m: np.ndarray) -> np.ndarray:
-    """Column-major vectorization: stack the columns of ``m`` into one vector."""
+    """Column-major vectorization: stack the columns of ``m`` into one vector,
+    matrix by matrix over any leading axes, (..., r, c) -> (..., r*c)."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"vec expects a 2-D matrix, got shape {m.shape}")
-    return m.reshape(-1, order="F").copy()
+    if m.ndim < 2:
+        raise ValueError(f"vec expects a matrix or a stack of them, got shape {m.shape}")
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1).copy()
 
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild the rows x cols matrix column by column."""
+    """Inverse of :func:`vec`: rebuild the rows x cols matrix column by column,
+    (..., rows*cols) -> (..., rows, cols)."""
     v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape {v.size} entries into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F").copy()
+    if v.shape[-1:] != (rows * cols,):
+        raise ValueError(f"cannot reshape shape {v.shape} into (..., {rows}, {cols})")
+    return v.reshape(*v.shape[:-1], cols, rows).swapaxes(-1, -2).copy()
 
 
 def commutation_permutation(n: int, d: int) -> np.ndarray:

@@ -14,6 +14,11 @@ by ``attention_scale``.
 sample or a (..., n, d) batch: the Jacobians read its per-sample trace and the
 trainer's backward pass reads its batched trace.  :func:`self_attention` and
 :func:`mlp_forward` are the block's only implementation.
+
+A block's weights may carry leading stack axes too, (..., d, d) for W_Q, W_K,
+W_V and W_O, which broadcast with the token batch: the finite-difference
+oracle runs one forward for a whole stack of perturbed weight sets.  Any subset
+of a block's weights may be stacked; a stacked bias is (..., 1, width).
 """
 
 from __future__ import annotations
@@ -183,11 +188,13 @@ def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> A
     q, k and v are projected once for all heads; head i reads column-block i
     of each.  The concatenation times W_O equals sum_i A_i X W_V,i W_O,i, the
     head-summed form the Jacobians are written in (up to rounding for h > 1).
+    Stacked weights broadcast with the token batch, so ``o`` takes the
+    broadcast shape of q, k and v.
     """
     q = x @ params.W_Q
     k = x @ params.W_K
     v = x @ params.W_V
-    o = np.empty_like(v)
+    o = np.empty(np.broadcast(q, k, v).shape)
     attns = []
     for i in range(config.h):
         blk = params.head_slice(i, config.d_h)
@@ -199,7 +206,8 @@ def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> A
 
 
 def mlp_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> MLP:
-    """Two-layer MLP with biases on (..., n, d) tokens."""
+    """Two-layer MLP with biases on (..., n, d) tokens; stacked weights
+    broadcast with the token batch."""
     pre = x @ params.mlp_W1 + params.mlp_b1
     cdf = gelu_cdf(pre) if config.activation == "gelu" else None
     act = pre * cdf if cdf is not None else activation(config.activation, pre)
@@ -220,7 +228,8 @@ def block_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> Bl
 def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) -> ForwardTrace:
     """Apply all L blocks to (..., n, d) tokens, caching every intermediate.
 
-    Leading axes are a batch: every array in the trace keeps them.  Raises
+    Leading axes are a batch: every array in the trace keeps them, broadcast
+    with any stack axes of the weights (see the module docstring).  Raises
     :class:`DivergenceError` naming the first layer whose output goes
     non-finite (deep skipless stacks can overflow); never returns NaNs.
     """

@@ -8,6 +8,7 @@ tracer without changing it and check both against the package.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +89,14 @@ def test_traced_profile_traces_each_sample_once():
         condition_profile_for_params(params, mc, batch, seed=0,
                                      include_param_jacobian=False)
     assert t.span_table()["model.network_forward"]["calls"] == 1
+
+
+def test_traced_fd_check_runs_stacked_forwards():
+    """The FD oracle runs one stacked forward per chunk of coordinates: an
+    fd_check instance makes the 3 traced forwards plus 2 chain checks of
+    ceil(4d^2 / FD_CHUNK) chunks each, not one forward per perturbed point."""
+    n, d, h, layers = 6, 8, 2, 3
+    with load_tracer().Tracer() as t:
+        skiplab.jacobian.fd_check_instance(n, d, h, layers, 0)
+    calls = t.span_table()["model.network_forward"]["calls"]
+    assert calls <= 3 + 2 * math.ceil(4 * d * d / skiplab.jacobian.FD_CHUNK)

@@ -230,9 +230,13 @@ def _fd_gradient_error(mc, params, x, y):
     grads = params.zeros_like()
     loss_and_gradients(params, grads, x, y, mc)
 
-    def loss_at(v):
-        params.vector[:] = v
-        return np.array([loss_and_gradients(params, params.zeros_like(), x, y, mc)])
+    def loss_at(vs):
+        # One point at a time: every evaluation writes the shared vector.
+        losses = []
+        for v in vs:
+            params.vector[:] = v
+            losses.append([loss_and_gradients(params, params.zeros_like(), x, y, mc)])
+        return np.array(losses)
 
     fd = finite_difference_jacobian(loss_at, params.vector.copy()).ravel()
     return np.linalg.norm(grads.vector - fd) / np.linalg.norm(fd)

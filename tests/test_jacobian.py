@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skiplab.jacobian
 from skiplab.init import InitSpec, init_network
-from skiplab.jacobian import (MAX_ND, attention_input_jacobian,
+from skiplab.jacobian import (FD_CHUNK, FD_STEP, MAX_ND,
+                              attention_input_jacobian,
                               batch_param_jacobian, block_chain_jacobian,
                               fd_check_instance, finite_difference_jacobian,
                               flatten_attention_params, logits_input_jacobian,
@@ -23,8 +27,43 @@ from test_model import random_params, small_config
 def test_fd_recovers_linear_map():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 6))
-    got = finite_difference_jacobian(lambda x: m @ x, np.zeros(6))
+    got = finite_difference_jacobian(lambda x: x @ m.T, np.zeros(6))
     assert np.max(np.abs(got - m)) < 1e-9
+
+
+def test_fd_recovers_linear_map_across_chunks():
+    """A map of 150 coordinates spans three chunks; f sees at most
+    2 * FD_CHUNK points per call."""
+    p = 150
+    assert math.ceil(p / FD_CHUNK) == 3
+    m = np.random.default_rng(1).standard_normal((7, p))
+    seen = []
+
+    def f(x):
+        seen.append(len(x))
+        return x @ m.T
+
+    got = finite_difference_jacobian(f, np.random.default_rng(2).standard_normal(p))
+    assert np.max(np.abs(got - m)) < 1e-9
+    assert len(seen) == 3 and max(seen) <= 2 * FD_CHUNK
+
+
+def test_fd_chunks_equal_per_point_differences():
+    """Chunking changes no arithmetic: every column equals the per-point
+    central difference to the last bit, across three chunks."""
+    x0 = 3.0 * np.random.default_rng(3).standard_normal(150)
+
+    def f(x):
+        return x * x * x[..., ::-1]
+
+    got = finite_difference_jacobian(f, x0)
+    assert got.flags.c_contiguous
+    for j in range(x0.size):
+        h = FD_STEP * max(1.0, abs(x0[j]))
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += h
+        xm[j] -= h
+        assert np.array_equal(got[:, j], (f(xp) - f(xm)) / (2.0 * h)), j
 
 
 def test_fd_scalar_square():
@@ -33,11 +72,14 @@ def test_fd_scalar_square():
 
 
 def test_fd_reports_offending_coordinate():
-    def f(x):
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(x[1:2])  # NaN when coordinate 1 goes negative
-    with pytest.raises(FloatingPointError, match="coordinate 1"):
-        finite_difference_jacobian(f, np.zeros(3))
+    """The coordinate whose -h point goes non-finite is named, in the first
+    chunk and in the second."""
+    for bad in (1, FD_CHUNK + 5):
+        def f(x):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(x[:, bad:bad + 1])  # NaN when coordinate `bad` goes negative
+        with pytest.raises(FloatingPointError, match=rf"coordinate {bad}$"):
+            finite_difference_jacobian(f, np.zeros(2 * FD_CHUNK))
 
 
 # --- softmax Jacobian --------------------------------------------------------
@@ -103,7 +145,8 @@ def test_logits_jacobian_matches_fd():
     p = rng.standard_normal((7, 7))
     for scale in (1.0, 2.5):
         fd = finite_difference_jacobian(
-            lambda v: vec(unvec(v, 5, 7) @ p @ unvec(v, 5, 7).T / scale), vec(x))
+            lambda v: vec(unvec(v, 5, 7) @ p @ unvec(v, 5, 7).swapaxes(-1, -2) / scale),
+            vec(x))
         assert relative_frobenius(logits_input_jacobian(x, p, scale), fd) < 1e-7
 
 
@@ -136,7 +179,8 @@ def test_attention_derivative_matches_fd():
     x = rng.standard_normal((2, 2))
     trace = network_forward(x, NetworkParams([bp]), cfg)
     fd = finite_difference_jacobian(
-        lambda v: vec(row_softmax(unvec(v, 2, 2) @ p @ unvec(v, 2, 2).T, 1.0)),
+        lambda v: vec(row_softmax(unvec(v, 2, 2) @ p @ unvec(v, 2, 2).swapaxes(-1, -2),
+                                  1.0)),
         vec(x))
     got = attention_input_jacobian(trace, 0, 0)
     assert relative_frobenius(got, fd) < 1e-6
@@ -437,6 +481,24 @@ def test_chain_skip_identity_at_zero_weights():
     trace = network_forward(x0, params, cfg)
     got = block_chain_jacobian(trace, 0).matrix
     assert np.array_equal(got, sa_param_jacobian(trace, 0).matrix)
+
+
+def test_chain_builds_only_its_own_param_jacobian(monkeypatch):
+    """Stopping the sweep at layer 0 of three builds sa_param_jacobian once."""
+    calls = []
+    original = skiplab.jacobian.sa_param_jacobian
+
+    def counted(trace, layer):
+        calls.append(layer)
+        return original(trace, layer)
+
+    monkeypatch.setattr(skiplab.jacobian, "sa_param_jacobian", counted)
+    cfg = small_config(L=3)
+    params = random_params(cfg, seed=46)
+    trace = network_forward(np.random.default_rng(47).standard_normal((cfg.n, cfg.d)),
+                            params, cfg)
+    block_chain_jacobian(trace, 0)
+    assert calls == [0]
 
 
 def test_chain_layer_out_of_range():

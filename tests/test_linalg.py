@@ -25,6 +25,21 @@ def test_vec_unvec_roundtrip_exact():
     assert np.array_equal(unvec(vec(m), 3, 5), m)
 
 
+def test_vec_unvec_roundtrip_stack():
+    """A (3, r, c) stack vectorizes matrix by matrix and comes back exactly."""
+    stack = np.random.default_rng(1).standard_normal((3, 4, 5))
+    v = vec(stack)
+    assert v.shape == (3, 20)
+    for m, row in zip(stack, v):
+        assert np.array_equal(row, vec(m))
+    assert np.array_equal(unvec(v, 4, 5), stack)
+
+
+def test_vec_rejects_vector():
+    with pytest.raises(ValueError):
+        vec(np.zeros(4))
+
+
 def test_unvec_size_mismatch():
     with pytest.raises(ValueError):
         unvec(np.zeros(5), 2, 3)

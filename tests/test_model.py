@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -257,6 +260,40 @@ def test_network_forward_checks_token_axes():
     assert network_forward(x, params, cfg).output.shape == x.shape
     with pytest.raises(ValueError, match="does not end in"):
         network_forward(np.zeros((2, cfg.n + 1, cfg.d)), params, cfg)
+
+
+ATTENTION_WEIGHTS = ("W_Q", "W_K", "W_V", "W_O")
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("use_mlp", [True, False])
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+def test_stacked_weights_forward_is_per_point_forward(h, use_skip, use_mlp, activation):
+    """Any subset of the attention weights stacked over 5 weight sets: the
+    stacked forward equals each weight set's own forward to the last bit."""
+    cfg = small_config(L=2, h=h, use_skip=use_skip, use_mlp=use_mlp,
+                       activation=activation)
+    params = random_params(cfg, seed=31)
+    rng = np.random.default_rng(32)
+    k = 5
+    stacks = [{name: 0.4 * rng.standard_normal((k, cfg.d, cfg.d))
+               for name in ATTENTION_WEIGHTS} for _ in range(cfg.L)]
+    x = rng.standard_normal((cfg.n, cfg.d))
+
+    def with_weights(subset, point):
+        return NetworkParams([
+            dataclasses.replace(bp, **{name: st[name] if point is None else st[name][point]
+                                       for name in subset})
+            for bp, st in zip(params.blocks, stacks)])
+
+    for size in range(1, 5):
+        for subset in itertools.combinations(ATTENTION_WEIGHTS, size):
+            out = network_forward(x, with_weights(subset, None), cfg).output
+            assert out.shape == (k, cfg.n, cfg.d), subset
+            for i in range(k):
+                single = network_forward(x, with_weights(subset, i), cfg).output
+                assert np.array_equal(out[i], single), (subset, i)
 
 
 def test_multihead_invariant_under_head_permutation():
