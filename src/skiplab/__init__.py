@@ -10,14 +10,12 @@ from .analysis import (ConcatReport, ExperimentRecord, MomentReport,
 from .harness import (Dataset, TrainConfig, TrainLog, load_tensor_file,
                       optimizer_step, save_tensor_file, synth_task, train)
 from .init import InitSpec, init_network, mimetic_qk, mlp_orthogonal, orthonormal_vo, truncated_normal
-from .jacobian import (ParamJacobian, attention_input_jacobian,
-                       batch_param_jacobian, block_chain_jacobian,
-                       finite_difference_jacobian, logits_input_jacobian,
-                       mlp_input_jacobian, mlp_token_blocks, sa_input_jacobian,
-                       sa_param_jacobian, softmax_jacobian)
-from .linalg import (BudgetError, ConditionNumber, SvdConvergenceError,
-                     commutation_matrix, commutation_permutation,
-                     condition_number, kron, sample_orthogonal, unvec, vec)
+from .jacobian import (attention_input_jacobian, batch_param_jacobian,
+                       block_chain_jacobian, finite_difference_jacobian,
+                       logits_input_jacobian, mlp_input_jacobian, mlp_token_blocks,
+                       sa_input_jacobian, sa_param_jacobian, softmax_jacobian)
+from .linalg import (BudgetError, SvdConvergenceError, commutation_matrix,
+                     commutation_permutation, condition_number, kron, unvec, vec)
 from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
                     NetworkParams, block_forward, network_forward, row_softmax,
                     self_attention)

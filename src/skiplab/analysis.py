@@ -25,8 +25,12 @@ import numpy as np
 from .init import InitSpec, init_network
 from .jacobian import (batch_param_jacobian, mlp_token_blocks, sa_input_jacobian,
                        sa_split)
-from .linalg import condition_number, kron_eye_apply, singular_values, spectral_norm
+from .linalg import (condition_from_singular_values, condition_number, kron_eye_apply,
+                     singular_values, spectral_norm)
 from .model import ModelConfig, network_forward, row_softmax
+
+MOMENT_CHUNK = 2000  # gram_moments trials drawn per vectorized batch
+COHERENCE_TRIES = 64  # sample_low_coherence_pair draws before giving up
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def prop1_trial(n: int, alpha: float, beta: float, temperature: float,
     rng = np.random.default_rng(seed)
     m = alpha * rng.standard_normal((n, n)) + beta * np.eye(n)
     a = row_softmax(m, temperature)
-    kappa = condition_number(a).value
+    kappa = condition_number(a)
     delta = float(np.max(m.max(axis=1) - m.min(axis=1)))
     off = m + np.diag(np.full(n, -np.inf))
     gamma = float(np.min(np.diagonal(m) - off.max(axis=1)))
@@ -118,7 +122,7 @@ def softmax_of_scaled_identity_kappa(n: int, beta: float, temperature: float = 1
 
 
 def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
-                 seed: int, chunk: int = 2000) -> MomentReport:
+                 seed: int) -> MomentReport:
     """Monte-Carlo entry moments of A = XX^T, B = XZX^T, C = alpha*B + beta*A.
 
     X has i.i.d. standard-normal rows; Z_ij ~ N(0, 1/d).  The margin gamma is
@@ -137,7 +141,7 @@ def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
     gamma_trial_means = []
     left = trials
     while left > 0:
-        t = min(chunk, left)
+        t = min(MOMENT_CHUNK, left)
         left -= t
         x = rng.standard_normal((t, n, d))
         z = rng.standard_normal((t, d, d)) / np.sqrt(d)
@@ -202,15 +206,16 @@ def perturbation_split(trace, layer: int) -> PerturbationReport:
     ||E||_2 = ||(R kron I_n) A'||_2 needs only a (min(d, hn) n) x nd SVD.
     """
     b, m, a_prime = sa_split(trace, layer)
-    b_max, b_min = map(float, singular_values(b)[[0, -1]])
+    s_b = singular_values(b)
+    b_max, b_min = float(s_b[0]), float(s_b[-1])
     e_norm = spectral_norm(kron_eye_apply(np.linalg.qr(m, mode="r"), a_prime))
     return PerturbationReport(
         layer=layer,
         e_norm=e_norm,
         b_sigma_min=b_min,
         b_sigma_max=b_max,
-        b_kappa=np.inf if b_min <= 1e-12 * b_max else b_max / b_min,
-        k_kappa=condition_number(b + kron_eye_apply(m, a_prime)).value,
+        b_kappa=condition_from_singular_values(s_b),
+        k_kappa=condition_number(b + kron_eye_apply(m, a_prime)),
         dominance_ratio=e_norm / max(b_min, 1e-300),
     )
 
@@ -231,20 +236,20 @@ def concat_bound(a: np.ndarray, b: np.ndarray) -> ConcatReport:
     s_min = float(min(sa[-1], sb[-1]))
     rho = spectral_norm(a.T @ b)
     tau_bal = float(max(sa[0], sb[0]) / min(sa[0], sb[0]))
-    kappa_max = max(condition_number(a).value, condition_number(b).value)
+    kappa_max = max(condition_number(a), condition_number(b))
     satisfied = bool(rho < s_min**2)
     if satisfied and np.isfinite(kappa_max):
         bound = tau_bal * np.sqrt((1.0 + rho / s_max**2) / (1.0 - rho / s_min**2)) * kappa_max
     else:
         bound = float("inf")
-    actual = condition_number(np.hstack([a, b])).value
+    actual = condition_number(np.hstack([a, b]))
     return ConcatReport(rho=rho, tau_bal=tau_bal, s_max=s_max, s_min=s_min,
                         kappa_max=kappa_max, bound=float(bound), actual=actual,
                         hypothesis_satisfied=satisfied)
 
 
-def sample_low_coherence_pair(rows: int, cols: int, rng: np.random.Generator,
-                              max_tries: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def sample_low_coherence_pair(rows: int, cols: int,
+                              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random pair of blocks satisfying the bound's hypothesis rho < s_min^2.
 
     Independent Gaussian blocks essentially never satisfy it (their mutual
@@ -256,7 +261,7 @@ def sample_low_coherence_pair(rows: int, cols: int, rng: np.random.Generator,
     """
     if rows < 2 * cols:
         raise ValueError("need rows >= 2*cols for a full-rank concatenation")
-    for _ in range(max_tries):
+    for _ in range(COHERENCE_TRIES):
         q, _ = np.linalg.qr(rng.standard_normal((rows, 2 * cols)))
         mix_a = np.eye(cols) + 0.3 * rng.standard_normal((cols, cols)) / np.sqrt(cols)
         mix_b = np.eye(cols) + 0.3 * rng.standard_normal((cols, cols)) / np.sqrt(cols)
@@ -314,16 +319,15 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
               for x in (batch if include_param_jacobian else batch[:1])]
     kappa_j = {}
     if include_param_jacobian:
-        kappa_j = {j.layer: condition_number(j.matrix).value
-                   for j in batch_param_jacobian(traces)}
+        kappa_j = {layer: condition_number(j) for layer, j in batch_param_jacobian(traces)}
     eye = np.eye(config.n * config.d)
     records = []
     for layer in range(config.L):
         k = sa_input_jacobian(traces[0], layer)
         metrics = {
-            "kappa_K": condition_number(k).value,
-            "kappa_K_plus_I": condition_number(k + eye).value,
-            "kappa_Khat": condition_number(mlp_token_blocks(traces[0], layer)).value,
+            "kappa_K": condition_number(k),
+            "kappa_K_plus_I": condition_number(k + eye),
+            "kappa_Khat": condition_number(mlp_token_blocks(traces[0], layer)),
         }
         if include_param_jacobian:
             metrics["kappa_J"] = kappa_j[layer]

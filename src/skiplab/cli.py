@@ -8,12 +8,14 @@ so identical config + seed always produces identical bytes.
 
 Config resolution: an optional INI file (section name = command) provides
 values, command-line flags override them, schema defaults fill the rest.
-Unknown keys and malformed values are usage errors (exit 2); domain failures
-exit 1; success exits 0.  ``jacobian-check`` additionally gates on its result:
-exit 0 only if every finite-difference check passes.
+Unknown keys and malformed values are usage errors (exit 2); domain failures,
+out-of-range values among them, exit 1 without a report; success exits 0.
+``jacobian-check`` additionally gates on its result: exit 0 only if every
+finite-difference check passes.
 
-The only environment knob is SKLS_THREADS (positive integer, default 1),
-echoed into every record; the runner itself is single-threaded.
+SKLS_THREADS (positive integer, default 1) is validated and echoed into every
+record as ``threads`` but never applied: BLAS threading follows
+``OPENBLAS_NUM_THREADS``, so the echo need not be the count in effect.
 """
 
 from __future__ import annotations
@@ -266,6 +268,25 @@ def _auto_scale(scale: float, d: int, heads: int) -> float:
     return math.sqrt(d // heads) if scale <= 0.0 else scale
 
 
+def _betas(text: str) -> list[float]:
+    return [float(t) for t in text.split(",") if t.strip()]
+
+
+def _check_ranges(command: str, p: dict) -> None:
+    """Reject values the schema types admit but no command can run; the
+    ValueError names the key.  Integers must be >= 1, except that the two
+    intervals read 0 as "never" and mlp_hidden 0 means 4d (see ModelConfig)."""
+    for key, value in p.items():
+        low = 0 if key in ("log_every", "kappa_probe_every", "mlp_hidden") else 1
+        if SCHEMAS[command][key][0] is int and value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+    if "betas" in p:
+        betas = _betas(p["betas"])
+        if not betas or len({f"{b:g}" for b in betas}) < len(betas):
+            raise ValueError("betas must be a non-empty list of distinct values, "
+                             f"got {p['betas']!r}")
+
+
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (records, gate_ok)
 # ---------------------------------------------------------------------------
@@ -361,7 +382,7 @@ def _cmd_concat_bound(p: dict, seed: int, echo: dict):
 
 
 def _cmd_beta_sweep(p: dict, seed: int, echo: dict):
-    betas = [float(t) for t in p["betas"].split(",") if t.strip()]
+    betas = _betas(p["betas"])
     records = []
     all_norms = []
     for k in range(p["trials"]):
@@ -448,7 +469,7 @@ def _cmd_init_report(p: dict, seed: int, echo: dict):
         margin = float(np.median(np.diagonal(logits) - neg.max(axis=1)))
         records.append(ExperimentRecord(
             "init-report", dict(echo, trial=k), trial_seed,
-            {"kappa_vo": condition_number(w_v @ w_o).value,
+            {"kappa_vo": condition_number(w_v @ w_o),
              "sv_max": float(sv[0]), "sv_min": float(sv[-1]),
              "c_squared": p["c"] ** 2,
              "qk_diag_mean": float(np.diagonal(prod).mean()),
@@ -478,6 +499,7 @@ def run(config: RunConfig) -> int:
     started = time.monotonic()
     try:
         threads = _threads()
+        _check_ranges(config.command, config.parameters)
         echo = dict(config.parameters)
         echo["threads"] = threads
         records, gate_ok = _COMMANDS[config.command](config.parameters,

@@ -21,11 +21,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import ExperimentRecord, condition_profile_for_params
-from .init import InitSpec, init_network, truncated_normal
+from .init import TRUNC_BOUND, TRUNC_STD, InitSpec, init_network, truncated_normal
 from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
                     NetworkParams, activation_derivative, network_forward)
 
 OPTIMIZERS = ("sgd_momentum", "adam_decoupled")
+
+# Adam's moment decay rates (b1, b2) and denominator offset.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 # Tensor file layout (little-endian): magic, u32 version, u32 sample_count,
 # u32 n, u32 d, u32 class_count, sample_count*n*d float64 tokens (sample-major,
@@ -72,12 +76,9 @@ class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
     momentum: float = 0.9
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     steps: int = 100
     batch_size: int = 16
     kappa_probe_every: int = 0  # 0 = never
-    head_std: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
@@ -315,7 +316,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
         vel += g
         p -= np.multiply(vel, lr, out=buf)
         return
-    b1, b2 = config.betas
+    b1, b2 = ADAM_BETAS
     m, v = state["m"], state["v"]
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=buf)
@@ -323,7 +324,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
     np.multiply(g, 1.0 - b2, out=buf)
     v += np.multiply(buf, g, out=buf)
     np.sqrt(np.divide(v, 1.0 - b2**t, out=buf), out=buf)
-    buf += config.eps
+    buf += ADAM_EPS
     np.divide(m, 1.0 - b1**t, out=buf2)
     buf2 *= lr
     p -= np.divide(buf2, buf, out=buf2)
@@ -335,7 +336,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
 
 
 def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
-    """Deterministic single-threaded minibatch training.
+    """Deterministic single-threaded minibatch training on a non-empty dataset.
 
     Stops early with the divergence flag on the first non-finite forward or
     loss; the partial loss log is preserved.  Conditioning probes run the
@@ -347,10 +348,12 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
         raise ValueError(
             f"dataset shape (n={dataset.n}, d={dataset.d_in}) does not match "
             f"model (n={mc.n}, d={mc.d})")
+    if len(dataset) == 0:
+        raise ValueError("samples: the dataset holds no samples")
     rng = np.random.default_rng(config.seed)
     init = init_network(mc, config.init)
-    params = FlatParams(init, truncated_normal(mc.d, dataset.class_count, config.head_std,
-                                               2.0, np.random.default_rng(config.seed + 1)),
+    params = FlatParams(init, truncated_normal(mc.d, dataset.class_count, TRUNC_STD,
+                                               TRUNC_BOUND, np.random.default_rng(config.seed + 1)),
                         np.zeros(dataset.class_count))
     # Step 0 runs on the init arrays: mlp_orthogonal's W1 is column-major, and
     # BLAS rounds products with it differently than with its row-major copy.

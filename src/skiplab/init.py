@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import pin_column_signs
 from .model import BlockParams, ModelConfig, NetworkParams
 
 # (alpha, beta, c) presets: "supervised" is the headline setting, "selfsup"
@@ -29,6 +28,10 @@ PRESETS = {
     "selfsup": (1.8, 1.0, 3.0),
 }
 
+# Truncated normal of the default scheme and the training head (bound in stds).
+TRUNC_STD = 0.02
+TRUNC_BOUND = 2.0
+
 
 @dataclass(frozen=True)
 class InitSpec:
@@ -36,9 +39,6 @@ class InitSpec:
     alpha: float = 2.0
     beta: float = 0.6
     c: float = 3.0
-    trunc_std: float = 0.02
-    trunc_bound: float = 2.0
-    mlp_gain: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +47,6 @@ class InitSpec:
         if self.scheme == "proposed":
             if self.alpha < 0 or self.beta < 0 or self.c <= 0:
                 raise ValueError("proposed scheme needs alpha, beta >= 0 and c > 0")
-        if self.trunc_std <= 0 or self.mlp_gain <= 0:
-            raise ValueError("trunc_std and mlp_gain must be positive")
 
     def with_preset(self, name: str) -> "InitSpec":
         alpha, beta, c = PRESETS[name]
@@ -59,11 +57,10 @@ def truncated_normal(rows: int, cols: int, std: float, bound: float, seed) -> np
     """I.i.d. N(0, std^2) entries, resampled until inside +/- bound*std."""
     rng = _as_rng(seed)
     out = rng.standard_normal((rows, cols))
-    limit = bound
-    bad = np.abs(out) > limit
+    bad = np.abs(out) > bound
     while bad.any():
         out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > limit
+        bad = np.abs(out) > bound
     return std * out
 
 
@@ -82,7 +79,7 @@ def orthonormal_vo(d: int, h: int, c: float, seed) -> tuple[np.ndarray, np.ndarr
     q = rng.standard_normal((d, d))
     u, _, vt = np.linalg.svd(q)
     # Paired sign pinning keeps U V^T unchanged while making the pair unique.
-    signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(d)] < 0, -1.0, 1.0)
+    signs = _lead_signs(u)
     u = u * signs
     vt = vt * signs[:, None]
     return c * u, c * vt
@@ -104,14 +101,14 @@ def mimetic_qk(d: int, d_h: int, alpha: float, beta: float, seed) -> tuple[np.nd
     root = np.sqrt(s[:d_h])
     # Paired sign pinning leaves W_Q W_K^T unchanged and makes the pair unique.
     u_r = u[:, :d_h]
-    signs = np.where(u_r[np.argmax(np.abs(u_r), axis=0), np.arange(d_h)] < 0, -1.0, 1.0)
+    signs = _lead_signs(u_r)
     w_q = (u_r * signs) * root
     w_k = (vt[:d_h, :].T * signs) * root
     return w_q, w_k
 
 
-def mlp_orthogonal(fan_in: int, fan_out: int, gain: float, seed) -> np.ndarray:
-    """Gain-scaled semi-orthogonal fan_in x fan_out matrix.
+def mlp_orthogonal(fan_in: int, fan_out: int, seed) -> np.ndarray:
+    """Semi-orthogonal fan_in x fan_out matrix.
 
     The smaller dimension's Gram matrix is the identity: columns are
     orthonormal when fan_in >= fan_out, rows otherwise.
@@ -123,8 +120,8 @@ def mlp_orthogonal(fan_in: int, fan_out: int, gain: float, seed) -> np.ndarray:
     g = rng.standard_normal((fan_in, fan_out) if tall else (fan_out, fan_in))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r))
-    q = pin_column_signs(q)
-    return gain * (q if tall else q.T)
+    q = q * _lead_signs(q)
+    return q if tall else q.T
 
 
 def init_network(config: ModelConfig, spec: InitSpec) -> NetworkParams:
@@ -140,10 +137,15 @@ def init_network(config: ModelConfig, spec: InitSpec) -> NetworkParams:
     for seq in layer_seqs:
         streams = seq.spawn(8)
         if spec.scheme == "default":
-            blocks.append(_default_block(config, spec, streams))
+            blocks.append(_default_block(config, streams))
         else:
             blocks.append(_proposed_block(config, spec, streams))
     return NetworkParams(blocks=blocks)
+
+
+def _lead_signs(m: np.ndarray) -> np.ndarray:
+    """Per column, the sign (+1 or -1) that makes its largest-|entry| positive."""
+    return np.where(m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])] < 0, -1.0, 1.0)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -152,20 +154,19 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _trunc(rows, cols, spec: InitSpec, seq) -> np.ndarray:
-    return truncated_normal(rows, cols, spec.trunc_std, spec.trunc_bound,
-                            np.random.default_rng(seq))
+def _trunc(rows, cols, seq) -> np.ndarray:
+    return truncated_normal(rows, cols, TRUNC_STD, TRUNC_BOUND, np.random.default_rng(seq))
 
 
-def _default_block(config: ModelConfig, spec: InitSpec, streams) -> BlockParams:
+def _default_block(config: ModelConfig, streams) -> BlockParams:
     d = config.d
     bp = BlockParams(
-        W_Q=_trunc(d, d, spec, streams[0]),
-        W_K=_trunc(d, d, spec, streams[1]),
-        W_V=_trunc(d, d, spec, streams[2]),
-        W_O=_trunc(d, d, spec, streams[3]),
+        W_Q=_trunc(d, d, streams[0]),
+        W_K=_trunc(d, d, streams[1]),
+        W_V=_trunc(d, d, streams[2]),
+        W_O=_trunc(d, d, streams[3]),
     )
-    _attach_mlp(bp, config, spec, streams, orthogonal=False)
+    _attach_mlp(bp, config, streams, orthogonal=False)
     return bp
 
 
@@ -180,20 +181,19 @@ def _proposed_block(config: ModelConfig, spec: InitSpec, streams) -> BlockParams
             d, d_h, spec.alpha, spec.beta, np.random.default_rng(s))
     w_v, w_o = orthonormal_vo(d, config.h, spec.c, np.random.default_rng(streams[1]))
     bp = BlockParams(W_Q=w_q, W_K=w_k, W_V=w_v, W_O=w_o)
-    _attach_mlp(bp, config, spec, streams, orthogonal=True)
+    _attach_mlp(bp, config, streams, orthogonal=True)
     return bp
 
 
-def _attach_mlp(bp: BlockParams, config: ModelConfig, spec: InitSpec,
-                streams, orthogonal: bool) -> None:
+def _attach_mlp(bp: BlockParams, config: ModelConfig, streams, orthogonal: bool) -> None:
     if not config.use_mlp:
         return
     d, m = config.d, config.mlp_hidden
     if orthogonal:
-        bp.mlp_W1 = mlp_orthogonal(d, m, spec.mlp_gain, np.random.default_rng(streams[4]))
-        bp.mlp_W2 = mlp_orthogonal(m, d, spec.mlp_gain, np.random.default_rng(streams[5]))
+        bp.mlp_W1 = mlp_orthogonal(d, m, np.random.default_rng(streams[4]))
+        bp.mlp_W2 = mlp_orthogonal(m, d, np.random.default_rng(streams[5]))
     else:
-        bp.mlp_W1 = _trunc(d, m, spec, streams[4])
-        bp.mlp_W2 = _trunc(m, d, spec, streams[5])
+        bp.mlp_W1 = _trunc(d, m, streams[4])
+        bp.mlp_W2 = _trunc(m, d, streams[5])
     bp.mlp_b1 = np.zeros(m)
     bp.mlp_b2 = np.zeros(d)

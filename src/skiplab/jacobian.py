@@ -29,12 +29,12 @@ runs one stacked forward per chunk, not one per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply
+from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply, unvec, vec
 from .model import (BlockParams, ForwardTrace, NetworkParams,
                     activation_derivative, network_forward)
 
@@ -47,15 +47,8 @@ FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # Coordinates perturbed per call of the oracle's f (2 * FD_CHUNK points).
 FD_CHUNK = 64
 
-
-@dataclass(frozen=True)
-class ParamJacobian:
-    """(m*n*d) x 4d^2 derivative of stacked network outputs w.r.t. one
-    layer's attention parameters.  Columns follow (W_Q, W_K, W_V, W_O), each
-    column-major, heads in order within each tensor."""
-
-    matrix: np.ndarray
-    layer: int
+# Entry scale of the Gaussian weights in fd_check_instance.
+FD_WEIGHT_STD = 0.3
 
 
 def _check_nd(nd: int) -> None:
@@ -102,19 +95,13 @@ def logits_input_jacobian(x: np.ndarray, p: np.ndarray, scale: float = 1.0) -> n
     return (left + right) / scale
 
 
-def _head_blocks(params: BlockParams, head: int, d_h: int):
-    blk = params.head_slice(head, d_h)
-    w_v = params.W_V[:, blk]
-    w_o = params.W_O[blk, :]
-    p = params.W_Q[:, blk] @ params.W_K[:, blk].T
-    return w_v, w_o, p
-
-
 def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> np.ndarray:
     """A' for one head, n^2 x nd: softmax Jacobian chained with the logits Jacobian."""
     cfg = trace.config
     bt = trace.blocks[layer]
-    _, _, p = _head_blocks(trace.params.blocks[layer], head, cfg.d_h)
+    bp = trace.params.blocks[layer]
+    blk = bp.head_slice(head, cfg.d_h)
+    p = bp.W_Q[:, blk] @ bp.W_K[:, blk].T
     ja = softmax_jacobian(bt.sa.attention[head])
     jm = logits_input_jacobian(bt.x_in, p, cfg.attention_scale)
     return ja @ jm
@@ -128,11 +115,12 @@ def sa_split(trace: ForwardTrace, layer: int,
     cfg = trace.config
     _check_nd(cfg.n * cfg.d)
     bt = trace.blocks[layer]
+    bp = trace.params.blocks[layer]
     b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
     m, a_prime = [], []
     for i in range(cfg.h):
-        w_v, w_o, _ = _head_blocks(trace.params.blocks[layer], i, cfg.d_h)
-        g = w_v @ w_o
+        blk = bp.head_slice(i, cfg.d_h)
+        g = bp.W_V[:, blk] @ bp.W_O[blk, :]
         b += kron(g.T, bt.sa.attention[i])
         m.append((bt.x_in @ g).T)
         a_prime.append(attention_input_jacobian(trace, layer, i))
@@ -170,9 +158,11 @@ def mlp_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
     return out.reshape(n * d, n * d)
 
 
-def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
+def sa_param_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
     """Derivative of vec(attention-stage output) w.r.t. the layer's flattened
-    (W_Q, W_K, W_V, W_O).
+    (W_Q, W_K, W_V, W_O), an nd x 4d^2 matrix.  Columns follow
+    :func:`flatten_attention_params`: each tensor column-major, heads in order
+    within each tensor.
 
     Per head i (with V_i = X W_V,i, T_i = ((X W_V,i W_O,i)^T kron I_n) J_i):
       d/dW_Q,i = T_i (X W_K,i kron X) / s
@@ -207,7 +197,7 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
         dk[:, cols] = t @ kron(x, x @ w_q)[:, k_ddh] / scale
         dv[:, cols] = kron(w_o.T, a @ x)
     do = kron(np.eye(d), concat)
-    return ParamJacobian(matrix=np.hstack([dq, dk, dv, do]), layer=layer)
+    return np.hstack([dq, dk, dv, do])
 
 
 def _chain(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
@@ -235,7 +225,7 @@ def _chain(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
             d = d @ (k + eye if cfg.use_skip else k)
 
 
-def block_chain_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
+def block_chain_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
     """Derivative of the final network output w.r.t. layer ``layer``'s
     attention parameters: the sweep of :func:`_chain`, stopped at ``layer``.
 
@@ -246,36 +236,36 @@ def block_chain_jacobian(trace: ForwardTrace, layer: int) -> ParamJacobian:
         raise IndexError(f"layer {layer} out of range for L={trace.config.L}")
     for j, d in _chain(trace):
         if j == layer:
-            return ParamJacobian(d @ sa_param_jacobian(trace, layer).matrix, layer)
+            return d @ sa_param_jacobian(trace, layer)
 
 
-def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[ParamJacobian]:
-    """Per layer, the per-sample chain Jacobians stacked vertically in sample
-    order; one sweep per trace, layers yielded last first."""
+def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.ndarray]]:
+    """Per layer, (layer, J) with J the (m*n*d) x 4d^2 stack of the m
+    per-sample chain Jacobians, vertically in sample order; one sweep per
+    trace, layers yielded last first."""
     if not traces:
         raise ValueError("batch must contain at least one sample")
     for pieces in zip(*map(_chain, traces)):
         layer = pieces[0][0]
-        stacked = ParamJacobian(np.vstack([d @ sa_param_jacobian(t, layer).matrix
-                                           for t, (_, d) in zip(traces, pieces)]),
-                                layer)
+        stacked = layer, np.vstack([d @ sa_param_jacobian(t, layer)
+                                    for t, (_, d) in zip(traces, pieces)])
         # Drop the per-sample factors before the caller holds the stack.
         del pieces
         yield stacked
 
 
 def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
-                               x0: np.ndarray, step: float | None = None) -> np.ndarray:
+                               x0: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian at x0 of an f that maps a (k, p) stack of
     points to a (k, q) stack of values.
 
-    Per-coordinate step h_j = step * max(1, |x0_j|) with the cube-root-of-eps
-    default.  Coordinates go in chunks of ``FD_CHUNK``, one call of f per
-    chunk on its +h_j points then its -h_j points.  Non-finite evaluations
-    raise, naming the first offending coordinate.
+    Per-coordinate step h_j = FD_STEP * max(1, |x0_j|).  Coordinates go in
+    chunks of ``FD_CHUNK``, one call of f per chunk on its +h_j points then
+    its -h_j points.  Non-finite evaluations raise, naming the first
+    offending coordinate.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    h = (FD_STEP if step is None else step) * np.maximum(1.0, np.abs(x0))
+    h = FD_STEP * np.maximum(1.0, np.abs(x0))
     columns = []
     for start in range(0, x0.size, FD_CHUNK):
         cols = np.arange(start, min(start + FD_CHUNK, x0.size))
@@ -308,36 +298,35 @@ def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def flatten_attention_params(bp: BlockParams) -> np.ndarray:
     """(W_Q, W_K, W_V, W_O) flattened column-major, in that order; stacked
     weights give a (..., 4d^2) stack."""
-    from .linalg import vec
     return np.concatenate([vec(bp.W_Q), vec(bp.W_K), vec(bp.W_V), vec(bp.W_O)],
                           axis=-1)
 
 
-def assign_attention_params(bp: BlockParams, theta: np.ndarray, d: int) -> None:
-    """Inverse of :func:`flatten_attention_params` (in place); a (..., 4d^2)
+def with_attention_params(bp: BlockParams, theta: np.ndarray) -> BlockParams:
+    """Inverse of :func:`flatten_attention_params`: a copy of ``bp`` with its
+    attention weights read from theta, sharing bp's MLP arrays; a (..., 4d^2)
     stack of thetas gives (..., d, d) stacked weights."""
-    from .linalg import unvec
+    d = bp.W_Q.shape[-1]
     d2 = d * d
-    bp.W_Q = unvec(theta[..., :d2], d, d)
-    bp.W_K = unvec(theta[..., d2:2 * d2], d, d)
-    bp.W_V = unvec(theta[..., 2 * d2:3 * d2], d, d)
-    bp.W_O = unvec(theta[..., 3 * d2:], d, d)
+    return replace(bp, W_Q=unvec(theta[..., :d2], d, d),
+                   W_K=unvec(theta[..., d2:2 * d2], d, d),
+                   W_V=unvec(theta[..., 2 * d2:3 * d2], d, d),
+                   W_O=unvec(theta[..., 3 * d2:], d, d))
 
 
 def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
-                      scale: float = 1.0, weight_std: float = 0.3,
-                      mlp_hidden: int | None = None) -> dict[str, float]:
+                      scale: float = 1.0) -> dict[str, float]:
     """Relative-Frobenius FD errors of every analytic Jacobian on one random
-    instance; used by the gate command and the acceptance suite.
+    instance with a width-d MLP; used by the gate command and the acceptance
+    suite.
 
-    Gaussian weights of moderate size keep the maps in generic position (tiny
-    default-init weights would make relative errors meaningless).  Each map
-    handed to the oracle evaluates a stack of points as one stacked forward."""
-    from .linalg import unvec, vec
+    Gaussian weights of moderate size (``FD_WEIGHT_STD``) keep the maps in
+    generic position (tiny default-init weights would make relative errors
+    meaningless).  Each map handed to the oracle evaluates a stack of points
+    as one stacked forward."""
     from .model import ModelConfig, row_softmax, self_attention
 
     rng = np.random.default_rng(seed)
-    m_hidden = mlp_hidden if mlp_hidden is not None else d
     results: dict[str, float] = {}
 
     # Softmax Jacobian at generic logits.
@@ -359,17 +348,17 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     def random_network(use_skip: bool):
         cfg = ModelConfig(L=layers, n=n, d=d, h=h, attention_scale=scale,
                           activation="gelu", use_skip=use_skip, use_mlp=True,
-                          mlp_hidden=m_hidden)
+                          mlp_hidden=d)
         blocks = []
         for _ in range(layers):
             blocks.append(BlockParams(
-                W_Q=weight_std * rng.standard_normal((d, d)),
-                W_K=weight_std * rng.standard_normal((d, d)),
-                W_V=weight_std * rng.standard_normal((d, d)),
-                W_O=weight_std * rng.standard_normal((d, d)),
-                mlp_W1=weight_std * rng.standard_normal((d, m_hidden)),
-                mlp_b1=0.1 * rng.standard_normal(m_hidden),
-                mlp_W2=weight_std * rng.standard_normal((m_hidden, d)),
+                W_Q=FD_WEIGHT_STD * rng.standard_normal((d, d)),
+                W_K=FD_WEIGHT_STD * rng.standard_normal((d, d)),
+                W_V=FD_WEIGHT_STD * rng.standard_normal((d, d)),
+                W_O=FD_WEIGHT_STD * rng.standard_normal((d, d)),
+                mlp_W1=FD_WEIGHT_STD * rng.standard_normal((d, d)),
+                mlp_b1=0.1 * rng.standard_normal(d),
+                mlp_W2=FD_WEIGHT_STD * rng.standard_normal((d, d)),
                 mlp_b2=0.1 * rng.standard_normal(d)))
         return cfg, NetworkParams(blocks)
 
@@ -410,17 +399,10 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     theta0 = flatten_attention_params(bp)
 
     def sa_of_theta(theta):
-        saved = (bp.W_Q, bp.W_K, bp.W_V, bp.W_O)
-        assign_attention_params(bp, theta, d)
-        try:
-            out = self_attention(x0, bp, cfg).out
-        finally:
-            bp.W_Q, bp.W_K, bp.W_V, bp.W_O = saved
-        return vec(out)
+        return vec(self_attention(x0, with_attention_params(bp, theta), cfg).out)
 
     fd = finite_difference_jacobian(sa_of_theta, theta0)
-    results["sa_param_jacobian"] = relative_frobenius(
-        sa_param_jacobian(trace, 0).matrix, fd)
+    results["sa_param_jacobian"] = relative_frobenius(sa_param_jacobian(trace, 0), fd)
 
     # Whole-network chain Jacobian w.r.t. layer-0 attention parameters.
     for use_skip, tag in ((False, "block_chain_jacobian_skipless"),
@@ -431,15 +413,9 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
         theta0 = flatten_attention_params(bp_c)
 
         def net_of_theta(theta):
-            saved = (bp_c.W_Q, bp_c.W_K, bp_c.W_V, bp_c.W_O)
-            assign_attention_params(bp_c, theta, d)
-            try:
-                out = network_forward(x0, params_c, cfg_c).output
-            finally:
-                bp_c.W_Q, bp_c.W_K, bp_c.W_V, bp_c.W_O = saved
-            return vec(out)
+            blocks = [with_attention_params(bp_c, theta), *params_c.blocks[1:]]
+            return vec(network_forward(x0, NetworkParams(blocks), cfg_c).output)
 
         fd = finite_difference_jacobian(net_of_theta, theta0)
-        results[tag] = relative_frobenius(
-            block_chain_jacobian(trace_c, 0).matrix, fd)
+        results[tag] = relative_frobenius(block_chain_jacobian(trace_c, 0), fd)
     return results

@@ -14,15 +14,13 @@ matrix may be given by its blocks alone, one small SVD each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Element cap for dense products (kron outputs, stacked Jacobians).
-DEFAULT_MAX_ELEMENTS = 1 << 25
+MAX_ELEMENTS = 1 << 25
 
 # Relative threshold below which sigma_min counts as numerically zero.
-DEFAULT_RANK_TOL = 1e-12
+RANK_TOL = 1e-12
 
 
 class BudgetError(MemoryError):
@@ -33,11 +31,11 @@ class SvdConvergenceError(RuntimeError):
     """The SVD iteration failed; results would be garbage, so none are returned."""
 
 
-def _check_budget(rows: int, cols: int, max_elements: int) -> None:
-    if rows * cols > max_elements:
+def _check_budget(rows: int, cols: int) -> None:
+    if rows * cols > MAX_ELEMENTS:
         raise BudgetError(
             f"dense {rows}x{cols} result holds {rows * cols} elements, "
-            f"budget is {max_elements}"
+            f"budget is {MAX_ELEMENTS}"
         )
 
 
@@ -69,21 +67,21 @@ def commutation_permutation(n: int, d: int) -> np.ndarray:
     return (np.arange(n)[:, None] + n * np.arange(d)).ravel()
 
 
-def commutation_matrix(n: int, d: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> np.ndarray:
+def commutation_matrix(n: int, d: int) -> np.ndarray:
     """Permutation K with K @ vec(X) = vec(X^T) for every n x d matrix X.
 
     Dense form of :func:`commutation_permutation`, kept as a test oracle.
     """
     perm = commutation_permutation(n, d)
-    _check_budget(n * d, n * d, max_elements)
+    _check_budget(n * d, n * d)
     return np.eye(n * d)[perm]
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_elements: int = DEFAULT_MAX_ELEMENTS) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with an element-budget guard."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_budget(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], max_elements)
+    _check_budget(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 
@@ -93,28 +91,6 @@ def kron_eye_apply(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     r, c = m.shape
     n = a.shape[0] // c
     return (m @ a.reshape(c, -1)).reshape(r * n, -1)
-
-
-@dataclass(frozen=True)
-class ConditionNumber:
-    """sigma_max / sigma_min, or infinity when sigma_min is numerically zero.
-
-    rank_tolerance is the relative threshold that declared sigma_min zero; it
-    is carried along so INFINITE verdicts stay auditable.
-    """
-
-    value: float
-    rank_tolerance: float = DEFAULT_RANK_TOL
-
-    @property
-    def is_infinite(self) -> bool:
-        return not np.isfinite(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __str__(self) -> str:
-        return "INFINITE" if self.is_infinite else repr(self.value)
 
 
 def singular_values(m: np.ndarray, blocks: int = 1) -> np.ndarray:
@@ -136,47 +112,25 @@ def singular_values(m: np.ndarray, blocks: int = 1) -> np.ndarray:
     return np.sort(s, axis=None)[::-1]
 
 
-def condition_number(m: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> ConditionNumber:
-    """Spectral condition number from a full SVD; a (k, r, c) stack stands
-    for the block-diagonal matrix of its k blocks.
-
-    Returns INFINITE (value = inf) when sigma_min <= rel_tol * sigma_max,
-    i.e. the matrix is numerically rank deficient at the stated tolerance.
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    m = np.asarray(m, dtype=float)
-    s = singular_values(m.reshape(-1, m.shape[-1]), len(m) if m.ndim == 3 else 1)
+def condition_from_singular_values(s: np.ndarray) -> float:
+    """sigma_max / sigma_min of non-increasing singular values, or inf (the
+    INFINITE verdict) when sigma_min <= RANK_TOL * sigma_max, i.e. the matrix
+    is numerically rank deficient."""
     smax, smin = float(s[0]), float(s[-1])
-    if smax == 0.0 or smin <= rel_tol * smax:
-        return ConditionNumber(value=float("inf"), rank_tolerance=rel_tol)
-    return ConditionNumber(value=smax / smin, rank_tolerance=rel_tol)
+    if smax == 0.0 or smin <= RANK_TOL * smax:
+        return float("inf")
+    return smax / smin
+
+
+def condition_number(m: np.ndarray) -> float:
+    """Spectral condition number from a full SVD (see
+    :func:`condition_from_singular_values`); a (k, r, c) stack stands for the
+    block-diagonal matrix of its k blocks."""
+    m = np.asarray(m, dtype=float)
+    return condition_from_singular_values(
+        singular_values(m.reshape(-1, m.shape[-1]), len(m) if m.ndim == 3 else 1))
 
 
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     return float(singular_values(m)[0])
-
-
-def sample_orthogonal(dim: int, seed: int) -> np.ndarray:
-    """Seed-deterministic random orthogonal matrix.
-
-    Gaussian matrix followed by QR; the sign of each column is pinned so the
-    largest-magnitude entry of the column is positive, which makes the result
-    unique (dim=1 always yields [[1.]]).
-    """
-    if dim < 1:
-        raise ValueError("sample_orthogonal needs dim >= 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r))
-    return pin_column_signs(q)
-
-
-def pin_column_signs(m: np.ndarray) -> np.ndarray:
-    """Flip column signs so each column's largest-|entry| is positive."""
-    m = np.asarray(m, dtype=float)
-    lead = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    return m * signs

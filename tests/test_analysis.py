@@ -31,7 +31,7 @@ def test_prop1_closed_form_identity_logits():
     n, beta = 10, 3.0
     a = row_softmax(beta * np.eye(n), 1.0)
     expected = softmax_of_scaled_identity_kappa(n, beta)
-    assert condition_number(a).value == pytest.approx(expected, rel=1e-10)
+    assert condition_number(a) == pytest.approx(expected, rel=1e-10)
 
 
 def test_prop1_kappa_nonincreasing_in_beta():
@@ -194,7 +194,7 @@ def test_perturbation_multihead_sums_to_full_jacobian():
     trace = network_forward(x, params, cfg)
     r = perturbation_split(trace, 0)  # head=None sums heads
     k = sa_input_jacobian(trace, 0)
-    assert r.k_kappa == pytest.approx(condition_number(k).value, rel=1e-9)
+    assert r.k_kappa == pytest.approx(condition_number(k), rel=1e-9)
 
 
 # --- A.2.5 concatenation bound -------------------------------------------------

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from skiplab.cli import (RunConfig, UsageError, main, parse_config, run,
-                         serialize, write_atomic)
+from skiplab.cli import (_COMMANDS, SCHEMAS, RunConfig, UsageError, main,
+                         parse_config, run, serialize, write_atomic)
 from skiplab.analysis import ExperimentRecord
 
 
@@ -251,6 +251,78 @@ def test_train_command_rejects_bad_counts(tmp_path, flag, value):
     assert not out.exists()
 
 
+# Every command at small sizes.
+_SMALL = {
+    "prop1": ["--n", "6", "--trials", "5"],
+    "moments": ["--n", "2", "--d", "8", "--trials", "200"],
+    "jacobian-check": ["--n", "3", "--d", "4", "--heads", "1",
+                       "--layers", "1", "--seeds", "1"],
+    "ksplit": ["--n", "4", "--d", "8", "--trials", "1"],
+    "concat-bound": ["--trials", "5"],
+    "beta-sweep": ["--n", "4", "--d", "8", "--trials", "2", "--betas", "0,2"],
+    "profile": ["--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden",
+                "8", "--batch-size", "1", "--param-jacobian", "false"],
+    "train": ["--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden",
+              "8", "--samples", "8", "--steps", "4", "--batch-size", "4"],
+    "init-report": ["--d", "8", "--trials", "1"],
+}
+
+
+_OUT_OF_RANGE = [
+    (["profile", "--heads", "0"], "heads"),
+    (["ksplit", "--heads", "0"], "heads"),
+    (["train", "--heads", "0"], "heads"),
+    (["init-report", "--heads", "0"], "heads"),
+    (["beta-sweep", "--trials", "0"], "trials"),
+    (["beta-sweep", "--betas", ","], "betas"),
+    (["beta-sweep", "--betas", "1,1"], "betas"),
+    (["prop1", "--trials", "0"], "trials"),
+    (["concat-bound", "--trials", "0"], "trials"),
+    (["jacobian-check", "--seeds", "0"], "seeds"),
+    (["train", "--samples", "0"], "samples"),
+    (["train", "--n", "4", "--d", "8", "--data", "EMPTY"], "samples"),
+    (["profile", "--layers", "0"], "layers"),
+    (["train", "--log-every", "-2"], "log_every"),
+]
+
+
+@pytest.mark.parametrize("argv, key", _OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in _OUT_OF_RANGE])
+def test_out_of_range_values_exit_1_naming_key(tmp_path, capsys, argv, key):
+    """Values the schema types admit but no command can run are domain
+    errors: exit 1, a message naming the key, and no report."""
+    from skiplab.harness import Dataset, save_tensor_file
+    empty = tmp_path / "empty.skls"
+    save_tensor_file(empty, Dataset(np.zeros((0, 4, 8)), np.zeros(0, np.uint32), 3))
+    out = tmp_path / "r.csv"
+    argv = [str(empty) if a == "EMPTY" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _ReadRecorder(dict):
+    """Parameter dict that records every key a command reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_every_schema_key_is_read(command):
+    """A flag the command never reads is dead: every schema key must be read
+    when the command runs."""
+    cfg = parse_config([command, *_SMALL[command], "--out", "x.csv"])
+    p = _ReadRecorder(cfg.parameters)
+    _COMMANDS[command](p, cfg.seed, dict(cfg.parameters))
+    assert p.read == set(SCHEMAS[command])
+
+
 def test_init_report_rejects_trunc_std(tmp_path):
     """init-report draws no truncated-normal weights, so it takes no trunc_std."""
     assert main(["init-report", "--trunc-std", "5",
@@ -269,22 +341,8 @@ def test_init_report_command(tmp_path):
 
 def test_every_command_rerun_is_byte_identical(tmp_path):
     """Determinism across the whole command surface at small sizes."""
-    invocations = {
-        "prop1": ["--n", "6", "--trials", "5"],
-        "moments": ["--n", "2", "--d", "8", "--trials", "200"],
-        "jacobian-check": ["--n", "3", "--d", "4", "--heads", "1",
-                           "--layers", "1", "--seeds", "1"],
-        "ksplit": ["--n", "4", "--d", "8", "--trials", "1"],
-        "concat-bound": ["--trials", "5"],
-        "beta-sweep": ["--n", "4", "--d", "8", "--trials", "2", "--betas", "0,2"],
-        "profile": ["--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden",
-                    "8", "--batch-size", "1", "--param-jacobian", "false"],
-        "train": ["--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden",
-                  "8", "--samples", "8", "--steps", "4", "--batch-size", "4"],
-        "init-report": ["--d", "8", "--trials", "1"],
-    }
     for fmt in ("csv", "records"):
-        for command, extra in invocations.items():
+        for command, extra in _SMALL.items():
             a = tmp_path / f"{command}-{fmt}-a.out"
             b = tmp_path / f"{command}-{fmt}-b.out"
             base = [command, *extra, "--seed", "9", "--format", fmt]

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skiplab.init import mlp_orthogonal
 from skiplab.linalg import (BudgetError, SvdConvergenceError, commutation_matrix,
                             commutation_permutation, condition_number, kron,
-                            kron_eye_apply, sample_orthogonal, singular_values,
-                            unvec, vec)
+                            kron_eye_apply, singular_values, unvec, vec)
 
 
 def test_vec_is_column_major():
@@ -74,8 +76,10 @@ def test_commutation_inverse_pair(n, d):
 
 
 def test_commutation_budget():
+    """A 10^4 x 10^4 permutation exceeds the element budget and raises before
+    anything that size is allocated."""
     with pytest.raises(BudgetError):
-        commutation_matrix(100, 100, max_elements=1000)
+        commutation_matrix(100, 100)
 
 
 def test_kron_identity_block_diagonal():
@@ -107,12 +111,14 @@ def test_kron_singular_values_are_pairwise_products():
 
 
 def test_kron_budget():
+    """A 10^4 x 10^4 product exceeds the element budget and raises before
+    anything that size is allocated."""
     with pytest.raises(BudgetError):
-        kron(np.ones((100, 100)), np.ones((100, 100)), max_elements=10_000)
+        kron(np.ones((100, 100)), np.ones((100, 100)))
 
 
 def test_svd_orthogonal_has_unit_values():
-    q = sample_orthogonal(16, seed=3)
+    q = mlp_orthogonal(16, 16, seed=3)
     assert np.max(np.abs(singular_values(q) - 1.0)) < 1e-12
 
 
@@ -132,27 +138,24 @@ def test_svd_values_sorted_on_mixed_shapes():
 
 
 def test_condition_number_diagonal():
-    assert condition_number(np.diag([2.0, 1.0])).value == pytest.approx(2.0)
+    assert condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0)
 
 
 def test_condition_number_rank_one_is_infinite():
-    c = condition_number(np.ones((4, 4)))
-    assert c.is_infinite
-    assert str(c) == "INFINITE"
+    assert condition_number(np.ones((4, 4))) == math.inf
 
 
 def test_condition_number_uniform_matrix_infinite():
     n = 10
-    c = condition_number(np.full((n, n), 1.0 / n))
-    assert c.is_infinite
+    assert condition_number(np.full((n, n), 1.0 / n)) == math.inf
 
 
 def test_condition_number_scale_invariant():
     rng = np.random.default_rng(6)
     for seed in range(10):
         m = np.random.default_rng(seed).standard_normal((6, 6))
-        k1 = condition_number(m).value
-        k2 = condition_number(rng.uniform(0.1, 10.0) * m).value
+        k1 = condition_number(m)
+        k2 = condition_number(rng.uniform(0.1, 10.0) * m)
         assert abs(k1 - k2) / k1 < 1e-10
 
 
@@ -161,8 +164,8 @@ def test_condition_number_kron_multiplies():
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((5, 5))
         b = rng.standard_normal((4, 4))
-        ka, kb = condition_number(a).value, condition_number(b).value
-        kab = condition_number(kron(a, b)).value
+        ka, kb = condition_number(a), condition_number(b)
+        kab = condition_number(kron(a, b))
         assert abs(kab - ka * kb) / (ka * kb) < 1e-8
 
 
@@ -183,11 +186,11 @@ def test_property_condition_number_of_stack_is_block_diagonal(k, rows, cols,
     assert np.allclose(s, singular_values(dense), rtol=1e-12, atol=1e-14 * s[0])
     got = condition_number(blocks)
     want = condition_number(dense)
-    assert isinstance(got.value, float)
-    if want.is_infinite or got.is_infinite:
-        assert got.is_infinite and want.is_infinite
+    assert isinstance(got, float)
+    if math.isinf(want) or math.isinf(got):
+        assert math.isinf(got) and math.isinf(want)
     else:
-        assert got.value == pytest.approx(want.value, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("r,c,n,k", [(3, 2, 4, 5), (1, 4, 2, 3), (2, 6, 1, 2)])
@@ -197,26 +200,3 @@ def test_kron_eye_apply_matches_dense_kron(r, c, n, k):
     a = rng.standard_normal((c * n, k))
     assert np.allclose(kron_eye_apply(m, a), kron(m, np.eye(n)) @ a,
                        rtol=0, atol=1e-13)
-
-
-def test_condition_number_tolerance_validation():
-    with pytest.raises(ValueError):
-        condition_number(np.eye(2), rel_tol=2.0)
-
-
-def test_sample_orthogonal_dim1_pinned():
-    for seed in range(5):
-        assert np.array_equal(sample_orthogonal(1, seed), [[1.0]])
-
-
-def test_sample_orthogonal_deterministic():
-    a = sample_orthogonal(12, seed=9)
-    b = sample_orthogonal(12, seed=9)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_orthogonal(12, seed=10))
-
-
-def test_sample_orthogonal_is_orthogonal():
-    q = sample_orthogonal(64, seed=11)
-    assert np.max(np.abs(q.T @ q - np.eye(64))) < 1e-12
-    assert condition_number(q).value == pytest.approx(1.0, abs=1e-10)
