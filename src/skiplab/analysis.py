@@ -320,15 +320,13 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     kappa_j = {}
     if include_param_jacobian:
         kappa_j = {layer: condition_number(j) for layer, j in batch_param_jacobian(traces)}
-    eye = np.eye(config.n * config.d)
     records = []
     for layer in range(config.L):
         k = sa_input_jacobian(traces[0], layer)
-        metrics = {
-            "kappa_K": condition_number(k),
-            "kappa_K_plus_I": condition_number(k + eye),
-            "kappa_Khat": condition_number(mlp_token_blocks(traces[0], layer)),
-        }
+        metrics = {"kappa_K": condition_number(k)}
+        k[np.diag_indices_from(k)] += 1.0
+        metrics["kappa_K_plus_I"] = condition_number(k)
+        metrics["kappa_Khat"] = condition_number(mlp_token_blocks(traces[0], layer))
         if include_param_jacobian:
             metrics["kappa_J"] = kappa_j[layer]
         inputs = {"layer": layer, "n": config.n, "d": config.d, "h": config.h,

@@ -275,9 +275,12 @@ def _betas(text: str) -> list[float]:
 def _check_ranges(command: str, p: dict) -> None:
     """Reject values the schema types admit but no command can run; the
     ValueError names the key.  Integers must be >= 1, except that the two
-    intervals read 0 as "never" and mlp_hidden 0 means 4d (see ModelConfig)."""
+    intervals read 0 as "never", mlp_hidden 0 means 4d (see ModelConfig), and
+    a one-token softmax is constant, so the token counts it runs over need >= 2."""
     for key, value in p.items():
-        low = 0 if key in ("log_every", "kappa_probe_every", "mlp_hidden") else 1
+        low = (0 if key in ("log_every", "kappa_probe_every", "mlp_hidden")
+               else 2 if (command, key) in (("init-report", "tokens"), ("beta-sweep", "n"))
+               else 1)
         if SCHEMAS[command][key][0] is int and value < low:
             raise ValueError(f"{key} must be >= {low}, got {value}")
     if "betas" in p:

@@ -17,6 +17,8 @@ the per-head terms, which is the unique extension consistent with the
 head-summed forward pass; the finite-difference oracle arbitrates.  The MLP
 acts on each token separately, so its input Jacobian K-hat is block-diagonal
 by token, with blocks W2^T diag(act'(pre_a)) W1^T (:func:`mlp_token_blocks`).
+The attention parameter Jacobian is applied to a left factor through
+vec(A X B) = (B^T kron A) vec(X); its dense Kronecker form is a test oracle.
 
 Note the left factor of K: (X G kron I_n)^T and ((X G)^T kron I_n) are the
 same matrix, so the two typographic variants of the formula agree.
@@ -158,46 +160,38 @@ def mlp_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
     return out.reshape(n * d, n * d)
 
 
-def sa_param_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
-    """Derivative of vec(attention-stage output) w.r.t. the layer's flattened
-    (W_Q, W_K, W_V, W_O), an nd x 4d^2 matrix.  Columns follow
+def sa_param_jacobian(trace: ForwardTrace, layer: int,
+                      left: np.ndarray | None = None) -> np.ndarray:
+    """``left`` @ P, where P = d vec(attention-stage output) / d theta is the
+    nd x 4d^2 Jacobian w.r.t. the layer's flattened (W_Q, W_K, W_V, W_O); P
+    itself when ``left`` is None.  Columns follow
     :func:`flatten_attention_params`: each tensor column-major, heads in order
     within each tensor.
 
-    Per head i (with V_i = X W_V,i, T_i = ((X W_V,i W_O,i)^T kron I_n) J_i):
-      d/dW_Q,i = T_i (X W_K,i kron X) / s
-      d/dW_K,i = T_i (X kron X W_Q,i) K_{d,d_h} / s
-      d/dW_V,i = W_O,i^T kron A_i X
-    and d/dW_O = I_d kron Concat_i(A_i V_i).  Right-multiplying by
-    K_{d,d_h} permutes columns.
+    P is never built: row r of ``left`` is read as vec(R) for an n x d R, and
+    row r of the product is vec of the gradient of <R, output>, through
+    vec(A X B) = (B^T kron A) vec(X).  Per head i, with G_i = W_V,i W_O,i and
+    the softmax VJP U_i = A_i . (S_i - rowsum(S_i . A_i)) of S_i = R (X G_i)^T:
+      d/dW_Q,i = X^T U_i X W_K,i / s,   d/dW_K,i = X^T U_i^T X W_Q,i / s,
+      d/dW_V,i = (A_i X)^T R W_O,i^T,   d/dW_O = Concat_i(A_i X W_V,i)^T R.
+    Each is formed transposed, so that its C-order rows are its vec.  The
+    dense Kronecker form of P is kept only as a test oracle.
     """
     cfg = trace.config
-    n, d, d_h = cfg.n, cfg.d, cfg.d_h
+    n, d, h, d_h = cfg.n, cfg.d, cfg.h, cfg.d_h
     _check_nd(n * d)
-    bt = trace.blocks[layer]
-    bp = trace.params.blocks[layer]
-    x = bt.x_in
-    scale = cfg.attention_scale
-
-    dq = np.zeros((n * d, d * d))
-    dk = np.zeros((n * d, d * d))
-    dv = np.zeros((n * d, d * d))
-    concat = np.zeros((n, d))
-    k_ddh = commutation_permutation(d_h, d)
-    for i in range(cfg.h):
-        blk = bp.head_slice(i, d_h)
-        w_q, w_k = bp.W_Q[:, blk], bp.W_K[:, blk]
-        w_v, w_o = bp.W_V[:, blk], bp.W_O[blk, :]
-        a = bt.sa.attention[i]
-        v = x @ w_v
-        concat[:, blk] = a @ v
-        t = kron_eye_apply((x @ w_v @ w_o).T, softmax_jacobian(a))
-        cols = slice(i * d_h * d, (i + 1) * d_h * d)
-        dq[:, cols] = t @ kron(x @ w_k, x) / scale
-        dk[:, cols] = t @ kron(x, x @ w_q)[:, k_ddh] / scale
-        dv[:, cols] = kron(w_o.T, a @ x)
-    do = kron(np.eye(d), concat)
-    return np.hstack([dq, dk, dv, do])
+    x, sa = trace.blocks[layer].x_in, trace.blocks[layer].sa
+    r = unvec(np.eye(n * d) if left is None else left, n, d)[:, None]  # (m, 1, n, d)
+    q, k, v = (w.reshape(n, h, d_h).swapaxes(0, 1) for w in (sa.q, sa.k, sa.v))  # per head
+    w_o = trace.params.blocks[layer].W_O.reshape(h, d_h, d)
+    a = np.stack(sa.attention)
+    s = r @ (v @ w_o).swapaxes(-1, -2)
+    u = a * (s - np.sum(s * a, axis=-1, keepdims=True))
+    grads = (k.swapaxes(-1, -2) @ (u.swapaxes(-1, -2) @ x) / cfg.attention_scale,
+             q.swapaxes(-1, -2) @ (u @ x) / cfg.attention_scale,
+             (w_o @ r.swapaxes(-1, -2)) @ (a @ x),
+             r[:, 0].swapaxes(-1, -2) @ sa.o)
+    return np.concatenate([g.reshape(len(r), -1) for g in grads], axis=1)
 
 
 def _chain(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
@@ -208,8 +202,8 @@ def _chain(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
     stage's output, D <- D M_l at each MLP stage and D <- D A_l at each
     attention stage, where M_l is K-hat_l (+ I with skips; I without an MLP)
     and A_l is K_l (+ I with skips).  Layer l is yielded with D taken between
-    the two; its chain Jacobian is D sa_param_jacobian(l), left to the caller
-    so a sweep stopped at one layer builds only that layer's.  Each K and
+    the two; its chain Jacobian is sa_param_jacobian(l, left=D), left to the
+    caller so a sweep stopped at one layer builds only that layer's.  Each K and
     K-hat is built once, and layer 0's K is never needed.
     """
     cfg = trace.config
@@ -236,7 +230,7 @@ def block_chain_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
         raise IndexError(f"layer {layer} out of range for L={trace.config.L}")
     for j, d in _chain(trace):
         if j == layer:
-            return d @ sa_param_jacobian(trace, layer)
+            return sa_param_jacobian(trace, layer, d)
 
 
 def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.ndarray]]:
@@ -247,7 +241,7 @@ def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.n
         raise ValueError("batch must contain at least one sample")
     for pieces in zip(*map(_chain, traces)):
         layer = pieces[0][0]
-        stacked = layer, np.vstack([d @ sa_param_jacobian(t, layer)
+        stacked = layer, np.vstack([sa_param_jacobian(t, layer, d)
                                     for t, (_, d) in zip(traces, pieces)])
         # Drop the per-sample factors before the caller holds the stack.
         del pieces

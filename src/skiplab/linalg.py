@@ -9,7 +9,9 @@ matrix, and ``unvec`` maps it back.
 
 All matrices are dense float64 ndarrays; condition numbers come from full
 SVDs (desk-scale sizes), never from iterative estimators.  A block-diagonal
-matrix may be given by its blocks alone, one small SVD each.
+matrix may be given by its blocks alone, one small SVD each.  A wide matrix
+(fewer rows than columns) is decomposed through its transpose, which has the
+same singular values and runs faster in LAPACK's values-only path.
 """
 
 from __future__ import annotations
@@ -95,11 +97,14 @@ def kron_eye_apply(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def singular_values(m: np.ndarray, blocks: int = 1) -> np.ndarray:
     """Singular values only (non-increasing).  With ``blocks`` = k, the rows of
-    ``m`` are the k equal-height blocks of a block-diagonal matrix, one SVD each."""
+    ``m`` are the k equal-height blocks of a block-diagonal matrix, one SVD each.
+    Wide blocks are decomposed through their transposes: sigma(M) = sigma(M^T)."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("singular_values input contains non-finite entries")
     stack = m.reshape(blocks, -1, m.shape[1])
+    if stack.shape[1] < stack.shape[2]:
+        stack = stack.swapaxes(1, 2)
     try:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError:

@@ -307,3 +307,37 @@ def test_condition_profile_for_params_pure():
                                  include_param_jacobian=False)
     for before, block in zip(snapshot, params.blocks):
         assert np.array_equal(before, block.W_Q)
+
+
+def test_profile_param_jacobian_builds_no_kron(monkeypatch):
+    """kappa(J) applies each layer's parameter Jacobian through the vec
+    identity: no linalg.kron call happens inside sa_param_jacobian (K's own
+    Kronecker terms still call it)."""
+    import skiplab.jacobian
+    import skiplab.linalg
+    inside, calls = [], []
+    kron, param_jacobian = skiplab.linalg.kron, skiplab.jacobian.sa_param_jacobian
+
+    def counted_kron(a, b):
+        calls.append(bool(inside))
+        return kron(a, b)
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return param_jacobian(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(skiplab.linalg, "kron", counted_kron)
+    monkeypatch.setattr(skiplab.jacobian, "kron", counted_kron)
+    monkeypatch.setattr(skiplab.jacobian, "sa_param_jacobian", flagged)
+    cfg = ModelConfig(L=2, n=3, d=4, h=2, attention_scale=1.0, use_skip=False,
+                      mlp_hidden=4)
+    params = init_network(cfg, InitSpec(scheme="proposed", seed=0))
+    rng = np.random.default_rng(1)
+    records = condition_profile_for_params(
+        params, cfg, [rng.standard_normal((3, 4)) for _ in range(2)], seed=0,
+        include_param_jacobian=True)
+    assert all("kappa_J" in r.metrics for r in records)
+    assert calls and not any(calls)

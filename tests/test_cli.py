@@ -283,6 +283,8 @@ _OUT_OF_RANGE = [
     (["train", "--n", "4", "--d", "8", "--data", "EMPTY"], "samples"),
     (["profile", "--layers", "0"], "layers"),
     (["train", "--log-every", "-2"], "log_every"),
+    (["init-report", "--d", "8", "--trials", "1", "--tokens", "1"], "tokens must be >= 2"),
+    (["beta-sweep", "--n", "1", "--d", "4", "--trials", "1"], "n must be >= 2"),
 ]
 
 
@@ -299,6 +301,17 @@ def test_out_of_range_values_exit_1_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["init-report", "--d", "8", "--trials", "1", "--tokens", "2"],
+    ["beta-sweep", "--n", "2", "--d", "4", "--trials", "1"],
+])
+def test_two_tokens_are_accepted(tmp_path, argv):
+    """Two tokens are the fewest whose softmax rows can be compared."""
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.exists()
 
 
 class _ReadRecorder(dict):

@@ -17,8 +17,8 @@ from skiplab.jacobian import (FD_CHUNK, FD_STEP, MAX_ND,
                               relative_frobenius, sa_input_jacobian,
                               sa_param_jacobian, softmax_jacobian,
                               with_attention_params)
-from skiplab.linalg import (BudgetError, condition_number, kron, spectral_norm,
-                            unvec, vec)
+from skiplab.linalg import (BudgetError, commutation_permutation, condition_number,
+                            kron, kron_eye_apply, spectral_norm, unvec, vec)
 from skiplab.model import (BlockParams, ModelConfig, NetworkParams,
                            activation_derivative, network_forward, row_softmax)
 from test_model import random_params, small_config
@@ -329,6 +329,58 @@ def test_property_mlp_token_blocks_match_kron_form(activation, use_mlp, n, d,
 
 # --- parameter Jacobian ------------------------------------------------------
 
+def _kron_sa_param_jacobian(trace, layer):
+    """Dense oracle for sa_param_jacobian: the nd x 4d^2 P from Kronecker
+    factors.  Per head i (with T_i = ((X W_V,i W_O,i)^T kron I_n) J_i):
+      d/dW_Q,i = T_i (X W_K,i kron X) / s
+      d/dW_K,i = T_i (X kron X W_Q,i) K_{d,d_h} / s
+      d/dW_V,i = W_O,i^T kron A_i X
+    and d/dW_O = I_d kron Concat_i(A_i X W_V,i)."""
+    cfg = trace.config
+    n, d, d_h = cfg.n, cfg.d, cfg.d_h
+    bt = trace.blocks[layer]
+    bp = trace.params.blocks[layer]
+    x = bt.x_in
+    dq, dk, dv = (np.zeros((n * d, d * d)) for _ in range(3))
+    concat = np.zeros((n, d))
+    k_ddh = commutation_permutation(d_h, d)
+    for i in range(cfg.h):
+        blk = bp.head_slice(i, d_h)
+        w_q, w_k = bp.W_Q[:, blk], bp.W_K[:, blk]
+        w_v, w_o = bp.W_V[:, blk], bp.W_O[blk, :]
+        a = bt.sa.attention[i]
+        concat[:, blk] = a @ x @ w_v
+        t = kron_eye_apply((x @ w_v @ w_o).T, softmax_jacobian(a))
+        cols = slice(i * d_h * d, (i + 1) * d_h * d)
+        dq[:, cols] = t @ kron(x @ w_k, x) / cfg.attention_scale
+        dk[:, cols] = t @ kron(x, x @ w_q)[:, k_ddh] / cfg.attention_scale
+        dv[:, cols] = kron(w_o.T, a @ x)
+    return np.hstack([dq, dk, dv, kron(np.eye(d), concat)])
+
+
+@pytest.mark.parametrize("left_shape", [None, "square", "short", "tall"])
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**16))
+def test_property_sa_param_jacobian_matches_kron_oracle(h, use_skip, left_shape, n, seed):
+    """left @ P through the vec identity equals left @ the dense Kronecker P,
+    for no left (P itself), an nd x nd left and m x nd lefts with m != nd."""
+    cfg = small_config(L=2, n=n, d=6, h=h, use_skip=use_skip, attention_scale=1.7)
+    params = random_params(cfg, seed=seed, std=0.6)
+    rng = np.random.default_rng(seed + 1)
+    trace = network_forward(rng.standard_normal((n, cfg.d)), params, cfg)
+    nd = n * cfg.d
+    rows = {None: None, "square": nd, "short": nd - 3, "tall": nd + 5}[left_shape]
+    left = None if rows is None else rng.standard_normal((rows, nd))
+    for layer in range(cfg.L):
+        oracle = _kron_sa_param_jacobian(trace, layer)
+        want = oracle if left is None else left @ oracle
+        got = sa_param_jacobian(trace, layer, left)
+        assert got.shape == want.shape
+        assert relative_frobenius(got, want) < 1e-12, layer
+
+
 def test_sa_param_jacobian_wo_block_is_linear_term():
     cfg = small_config(L=1, h=1)
     params = random_params(cfg, seed=19)
@@ -495,9 +547,9 @@ def test_chain_builds_only_its_own_param_jacobian(monkeypatch):
     calls = []
     original = skiplab.jacobian.sa_param_jacobian
 
-    def counted(trace, layer):
+    def counted(trace, layer, left=None):
         calls.append(layer)
-        return original(trace, layer)
+        return original(trace, layer, left)
 
     monkeypatch.setattr(skiplab.jacobian, "sa_param_jacobian", counted)
     cfg = small_config(L=3)

@@ -200,3 +200,19 @@ def test_kron_eye_apply_matches_dense_kron(r, c, n, k):
     a = rng.standard_normal((c * n, k))
     assert np.allclose(kron_eye_apply(m, a), kron(m, np.eye(n)) @ a,
                        rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 4), rows=st.integers(1, 6), extra=st.integers(1, 8),
+       seed=st.integers(0, 2**16))
+def test_property_wide_singular_values_match_untransposed_svd(k, rows, extra, seed):
+    """Wide blocks, alone or stacked, are decomposed through their transposes;
+    the values match LAPACK's SVD of the blocks as given."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((k, rows, rows + extra))
+    blocks *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, 1))
+    want = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+    got = singular_values(blocks.reshape(k * rows, -1), blocks=k)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+    one = singular_values(blocks[0])
+    assert np.max(np.abs(one - np.linalg.svd(blocks[0], compute_uv=False))) <= 1e-12 * one[0]
