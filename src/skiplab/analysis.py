@@ -110,17 +110,6 @@ def prop1_trial(n: int, alpha: float, beta: float, temperature: float,
                       seed=seed, kappa=kappa, delta=delta, gamma=gamma)
 
 
-def softmax_of_scaled_identity_kappa(n: int, beta: float, temperature: float = 1.0) -> float:
-    """Closed-form kappa of row_softmax(beta*I, temperature).
-
-    The output is (p - q) I + q 11^T with p = e^(beta/tau) / (e^(beta/tau)+n-1)
-    and q = 1 / (e^(beta/tau)+n-1); its singular values are 1 (the row-sum
-    direction) and p - q, so kappa = 1 / (p - q)."""
-    e = float(np.exp(beta / temperature))
-    p_minus_q = (e - 1.0) / (e + n - 1.0)
-    return np.inf if p_minus_q == 0.0 else 1.0 / p_minus_q
-
-
 def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
                  seed: int) -> MomentReport:
     """Monte-Carlo entry moments of A = XX^T, B = XZX^T, C = alpha*B + beta*A.
@@ -307,8 +296,9 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     """Per-layer kappa(K), kappa(K+I), kappa(K-hat) of the first batch
     sample's trace and optionally kappa(J) of the whole batch, for one fixed
     parameter set.  Each sample is traced once; kappa(J) of every layer comes
-    from one backward sweep per sample.  kappa(K) and kappa(K+I) come from
-    dense nd x nd SVDs, kappa(K-hat) from its n per-token d x d blocks.
+    from one backward sweep per sample, which builds no K, so each K is built
+    once, for the dense nd x nd SVDs of kappa(K) and kappa(K+I).
+    kappa(K-hat) comes from its n per-token d x d blocks.
 
     Pure measurement: neither params nor batch are modified.  Note kappa(J)
     is informative only in the wide regime m*n*d < 4d^2; the query/key and

@@ -1,15 +1,15 @@
 """Desk-scale training harness.
 
-Synthetic token-classification task, a binary tensor-file loader, a manual
-batched backward pass (verified against finite differences in the tests), two
+Synthetic token-classification task, a binary tensor-file loader, the loss
+and its exact gradient (verified against finite differences in the tests), two
 optimizers with decoupled weight decay, and conditioning probes along the loss
 trajectory.  The network head is the simplest thing that exercises the blocks:
 mean-pool the final tokens, apply a linear classifier, cross-entropy.
 
 The training forward is :func:`skiplab.model.network_forward` on the whole
-batch, the same forward whose per-sample trace feeds the Jacobians, and the
-backward pass reads that trace.  Parameters, gradients and optimizer moments
-are flat float64 vectors (:class:`FlatParams`).
+batch and the backward is :func:`skiplab.model.network_backward` on its
+trace, the same walks whose per-sample runs feed the Jacobians.  Parameters,
+gradients and optimizer moments are flat float64 vectors (:class:`FlatParams`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import ExperimentRecord, condition_profile_for_params
 from .init import TRUNC_BOUND, TRUNC_STD, InitSpec, init_network, truncated_normal
 from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
-                    NetworkParams, activation_derivative, network_forward)
+                    NetworkParams, network_backward, network_forward)
 
 OPTIMIZERS = ("sgd_momentum", "adam_decoupled")
 
@@ -223,7 +223,8 @@ def _forward_batch(x: np.ndarray, params: NetworkParams,
 def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
                        y: np.ndarray, config: ModelConfig) -> float:
     """Cross-entropy of mean-pooled final tokens; writes its exact gradient
-    into ``grads`` (same layout as ``params``).  Raises
+    into ``grads`` (same layout as ``params``), contracting each weight pair
+    of the backward over batch and tokens.  Raises
     :class:`~skiplab.model.DivergenceError` if the forward goes non-finite."""
     trace = _forward_batch(x, params.network, config)
     batch = x.shape[0]
@@ -241,37 +242,12 @@ def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
     np.sum(dlogits, axis=0, out=grads.head_b)
     dx = np.repeat((dlogits @ params.head_w.T)[:, None, :] / config.n, config.n, axis=1)
 
-    for bp, g, bt in zip(reversed(params.network.blocks), reversed(grads.network.blocks),
-                         reversed(trace.blocks)):
-        sa, mlp = bt.sa, bt.mlp
-        if config.use_mlp:
-            _stacked_outer(mlp.act, dx, g.mlp_W2)
-            np.sum(dx, axis=(0, 1), out=g.mlp_b2)
-            dpre = (dx @ bp.mlp_W2.T) * activation_derivative(
-                config.activation, mlp.pre, mlp.cdf)
-            _stacked_outer(bt.post_attention, dpre, g.mlp_W1)
-            np.sum(dpre, axis=(0, 1), out=g.mlp_b1)
-            dx_attn = dpre @ bp.mlp_W1.T + (dx if config.use_skip else 0.0)
-        else:
-            dx_attn = dx
-
-        _stacked_outer(sa.o, dx_attn, g.W_O)
-        do = dx_attn @ bp.W_O.T
-        dq = np.empty_like(sa.q)
-        dk = np.empty_like(sa.k)
-        dv = np.empty_like(sa.v)
-        for i, a in enumerate(sa.attention):
-            blk = bp.head_slice(i, config.d_h)
-            da = do[..., blk] @ sa.v[..., blk].transpose(0, 2, 1)
-            dv[..., blk] = a.transpose(0, 2, 1) @ do[..., blk]
-            dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / config.attention_scale
-            dq[..., blk] = dm @ sa.k[..., blk]
-            dk[..., blk] = dm.transpose(0, 2, 1) @ sa.q[..., blk]
-        _stacked_outer(bt.x_in, dq, g.W_Q)
-        _stacked_outer(bt.x_in, dk, g.W_K)
-        _stacked_outer(bt.x_in, dv, g.W_V)
-        dx = (dq @ bp.W_Q.T + dk @ bp.W_K.T + dv @ bp.W_V.T
-              + (dx_attn if config.use_skip else 0.0))
+    for g, (_, pairs) in zip(reversed(grads.network.blocks), network_backward(trace, dx)):
+        for name, (a, b) in pairs.items():
+            if a is None:
+                np.sum(b, axis=(0, 1), out=getattr(g, name))
+            else:
+                _stacked_outer(a, b, getattr(g, name))
     return loss
 
 

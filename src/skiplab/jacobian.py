@@ -17,8 +17,10 @@ the per-head terms, which is the unique extension consistent with the
 head-summed forward pass; the finite-difference oracle arbitrates.  The MLP
 acts on each token separately, so its input Jacobian K-hat is block-diagonal
 by token, with blocks W2^T diag(act'(pre_a)) W1^T (:func:`mlp_token_blocks`).
-The attention parameter Jacobian is applied to a left factor through
-vec(A X B) = (B^T kron A) vec(X); its dense Kronecker form is a test oracle.
+The chain parameter Jacobian J of a layer is the trainer's backward
+(``model.network_backward``) on the nd unit cotangents unvec(I_nd), the
+layer's attention pairs contracted per cotangent: no nd x nd downstream
+factor, K or K-hat is formed.  Dense products are test oracles only.
 
 Note the left factor of K: (X G kron I_n)^T and ((X G)^T kron I_n) are the
 same matrix, so the two typographic variants of the formula agree.
@@ -37,8 +39,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply, unvec, vec
-from .model import (BlockParams, ForwardTrace, NetworkParams,
-                    activation_derivative, network_forward)
+from .model import (BlockParams, ForwardTrace, NetworkParams, activation_derivative,
+                    attention_backward, network_backward, network_forward)
 
 # Dense nd x nd materialization cap.
 MAX_ND = 2048
@@ -51,6 +53,9 @@ FD_CHUNK = 64
 
 # Entry scale of the Gaussian weights in fd_check_instance.
 FD_WEIGHT_STD = 0.3
+
+# The attention tensors, in flatten_attention_params order.
+ATTENTION_WEIGHTS = ("W_Q", "W_K", "W_V", "W_O")
 
 
 def _check_nd(nd: int) -> None:
@@ -160,6 +165,21 @@ def mlp_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
     return out.reshape(n * d, n * d)
 
 
+def _attention_rows(pairs: dict) -> np.ndarray:
+    """Row r: the four attention gradients for cotangent r, each vec'd, in
+    :func:`flatten_attention_params` order (formed transposed, so that each
+    one's C-order rows are its vec)."""
+    return np.concatenate([(dy.swapaxes(-1, -2) @ x).reshape(len(dy), -1)
+                           for x, dy in (pairs[w] for w in ATTENTION_WEIGHTS)], axis=1)
+
+
+def _cotangent_stack(trace: ForwardTrace, left: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``left`` (I_nd when None) as an (m, n, d) cotangent stack."""
+    n, d = trace.config.n, trace.config.d
+    _check_nd(n * d)
+    return unvec(np.eye(n * d) if left is None else left, n, d)
+
+
 def sa_param_jacobian(trace: ForwardTrace, layer: int,
                       left: np.ndarray | None = None) -> np.ndarray:
     """``left`` @ P, where P = d vec(attention-stage output) / d theta is the
@@ -169,82 +189,37 @@ def sa_param_jacobian(trace: ForwardTrace, layer: int,
     within each tensor.
 
     P is never built: row r of ``left`` is read as vec(R) for an n x d R, and
-    row r of the product is vec of the gradient of <R, output>, through
-    vec(A X B) = (B^T kron A) vec(X).  Per head i, with G_i = W_V,i W_O,i and
-    the softmax VJP U_i = A_i . (S_i - rowsum(S_i . A_i)) of S_i = R (X G_i)^T:
-      d/dW_Q,i = X^T U_i X W_K,i / s,   d/dW_K,i = X^T U_i^T X W_Q,i / s,
-      d/dW_V,i = (A_i X)^T R W_O,i^T,   d/dW_O = Concat_i(A_i X W_V,i)^T R.
-    Each is formed transposed, so that its C-order rows are its vec.  The
-    dense Kronecker form of P is kept only as a test oracle.
+    row r of the product is vec of the gradient of <R, output>, from
+    ``model.attention_backward`` run on the stack of every R.
     """
-    cfg = trace.config
-    n, d, h, d_h = cfg.n, cfg.d, cfg.h, cfg.d_h
-    _check_nd(n * d)
-    x, sa = trace.blocks[layer].x_in, trace.blocks[layer].sa
-    r = unvec(np.eye(n * d) if left is None else left, n, d)[:, None]  # (m, 1, n, d)
-    q, k, v = (w.reshape(n, h, d_h).swapaxes(0, 1) for w in (sa.q, sa.k, sa.v))  # per head
-    w_o = trace.params.blocks[layer].W_O.reshape(h, d_h, d)
-    a = np.stack(sa.attention)
-    s = r @ (v @ w_o).swapaxes(-1, -2)
-    u = a * (s - np.sum(s * a, axis=-1, keepdims=True))
-    grads = (k.swapaxes(-1, -2) @ (u.swapaxes(-1, -2) @ x) / cfg.attention_scale,
-             q.swapaxes(-1, -2) @ (u @ x) / cfg.attention_scale,
-             (w_o @ r.swapaxes(-1, -2)) @ (a @ x),
-             r[:, 0].swapaxes(-1, -2) @ sa.o)
-    return np.concatenate([g.reshape(len(r), -1) for g in grads], axis=1)
-
-
-def _chain(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
-    """One backward sweep, last layer first: each layer with its downstream
-    factor D.
-
-    D accumulates the derivative of the network output w.r.t. the current
-    stage's output, D <- D M_l at each MLP stage and D <- D A_l at each
-    attention stage, where M_l is K-hat_l (+ I with skips; I without an MLP)
-    and A_l is K_l (+ I with skips).  Layer l is yielded with D taken between
-    the two; its chain Jacobian is sa_param_jacobian(l, left=D), left to the
-    caller so a sweep stopped at one layer builds only that layer's.  Each K and
-    K-hat is built once, and layer 0's K is never needed.
-    """
-    cfg = trace.config
-    eye = np.eye(cfg.n * cfg.d)
-    d = eye
-    for layer in reversed(range(cfg.L)):
-        if cfg.use_mlp:
-            m = mlp_input_jacobian(trace, layer)
-            d = d @ (m + eye if cfg.use_skip else m)
-        yield layer, d
-        if layer > 0:
-            k = sa_input_jacobian(trace, layer)
-            d = d @ (k + eye if cfg.use_skip else k)
+    pairs = attention_backward(trace.blocks[layer], trace.params.blocks[layer],
+                               trace.config, _cotangent_stack(trace, left))
+    return _attention_rows(pairs)
 
 
 def block_chain_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
     """Derivative of the final network output w.r.t. layer ``layer``'s
-    attention parameters: the sweep of :func:`_chain`, stopped at ``layer``.
-
-    The chain factors follow the trace's own wiring, the only one for which
-    the product is the true derivative.
+    attention parameters: the network's backward on the unit cotangents,
+    stopped at ``layer``.  It follows the trace's own wiring, skips included.
     """
     if not 0 <= layer < trace.config.L:
         raise IndexError(f"layer {layer} out of range for L={trace.config.L}")
-    for j, d in _chain(trace):
+    for j, pairs in network_backward(trace, _cotangent_stack(trace)):
         if j == layer:
-            return sa_param_jacobian(trace, layer, d)
+            return _attention_rows(pairs)
 
 
 def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.ndarray]]:
     """Per layer, (layer, J) with J the (m*n*d) x 4d^2 stack of the m
-    per-sample chain Jacobians, vertically in sample order; one sweep per
-    trace, layers yielded last first."""
+    per-sample chain Jacobians, vertically in sample order; one backward per
+    trace on the unit cotangents, layers yielded last first."""
     if not traces:
         raise ValueError("batch must contain at least one sample")
-    for pieces in zip(*map(_chain, traces)):
-        layer = pieces[0][0]
-        stacked = layer, np.vstack([sa_param_jacobian(t, layer, d)
-                                    for t, (_, d) in zip(traces, pieces)])
-        # Drop the per-sample factors before the caller holds the stack.
-        del pieces
+    eye = _cotangent_stack(traces[0])
+    for steps in zip(*(network_backward(t, eye) for t in traces)):
+        stacked = steps[0][0], np.vstack([_attention_rows(pairs) for _, pairs in steps])
+        # Drop the per-sample cotangents before the caller holds the stack.
+        del steps
         yield stacked
 
 
@@ -292,8 +267,7 @@ def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def flatten_attention_params(bp: BlockParams) -> np.ndarray:
     """(W_Q, W_K, W_V, W_O) flattened column-major, in that order; stacked
     weights give a (..., 4d^2) stack."""
-    return np.concatenate([vec(bp.W_Q), vec(bp.W_K), vec(bp.W_V), vec(bp.W_O)],
-                          axis=-1)
+    return np.concatenate([vec(getattr(bp, w)) for w in ATTENTION_WEIGHTS], axis=-1)
 
 
 def with_attention_params(bp: BlockParams, theta: np.ndarray) -> BlockParams:

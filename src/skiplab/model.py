@@ -11,9 +11,11 @@ attention matrix of head i is the row-softmax of X W_Q,i W_K,i^T X^T divided
 by ``attention_scale``.
 
 :func:`network_forward` is the only walk over the layers, for one (n, d)
-sample or a (..., n, d) batch: the Jacobians read its per-sample trace and the
-trainer's backward pass reads its batched trace.  :func:`self_attention` and
-:func:`mlp_forward` are the block's only implementation.
+sample or a (..., n, d) batch, and :func:`network_backward` its reverse twin:
+the trainer runs it on its batched trace and the loss cotangent, the parameter
+Jacobians on a per-sample trace and unit cotangents.  :func:`self_attention`,
+:func:`mlp_forward` and :func:`attention_backward` are the block's only
+implementation.
 
 A block's weights may carry leading stack axes too, (..., d, d) for W_Q, W_K,
 W_V and W_O, which broadcast with the token batch: the finite-difference
@@ -24,7 +26,7 @@ of a block's weights may be stacked; a stacked bias is (..., 1, width).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -250,3 +252,47 @@ def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) 
         traces.append(bt)
         x = bt.output
     return ForwardTrace(x0=x0, blocks=traces, config=config, params=params)
+
+
+def attention_backward(bt: BlockTrace, bp: BlockParams, config: ModelConfig,
+                       dout: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(input, cotangent) factor pairs of W_Q, W_K, W_V and W_O for a
+    cotangent ``dout`` on the attention output (skip excluded), which may carry
+    leading axes beyond the trace's; a weight's gradient is input^T cotangent,
+    summed over tokens and whichever leading axes the caller contracts."""
+    sa = bt.sa
+    do = dout @ bp.W_O.T
+    dq, dk, dv = (np.empty_like(do) for _ in range(3))
+    for i, a in enumerate(sa.attention):
+        blk = bp.head_slice(i, config.d_h)
+        da = do[..., blk] @ sa.v[..., blk].swapaxes(-1, -2)
+        dv[..., blk] = a.swapaxes(-1, -2) @ do[..., blk]
+        dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / config.attention_scale
+        dq[..., blk] = dm @ sa.k[..., blk]
+        dk[..., blk] = dm.swapaxes(-1, -2) @ sa.q[..., blk]
+    return {"W_Q": (bt.x_in, dq), "W_K": (bt.x_in, dk), "W_V": (bt.x_in, dv),
+            "W_O": (sa.o, dout)}
+
+
+def network_backward(trace: ForwardTrace, cotangent: np.ndarray) -> Iterator[tuple[int, dict]]:
+    """The reverse walk of :func:`network_forward`: per layer, last first,
+    (layer, pairs) for a ``cotangent`` on the output, which may carry leading
+    axes beyond the trace's.  ``pairs`` maps each :class:`BlockParams` field to
+    its (input, cotangent) factor pair, input None for a bias; the caller
+    contracts them.  Skips included; layer 0's input cotangent is not formed."""
+    cfg = trace.config
+    dx = cotangent
+    for layer in reversed(range(cfg.L)):
+        bt, bp = trace.blocks[layer], trace.params.blocks[layer]
+        pairs, dx_attn = {}, dx
+        if cfg.use_mlp:
+            dpre = (dx @ bp.mlp_W2.T) * activation_derivative(
+                cfg.activation, bt.mlp.pre, bt.mlp.cdf)
+            pairs = {"mlp_W1": (bt.post_attention, dpre), "mlp_b1": (None, dpre),
+                     "mlp_W2": (bt.mlp.act, dx), "mlp_b2": (None, dx)}
+            dx_attn = dpre @ bp.mlp_W1.T + (dx if cfg.use_skip else 0.0)
+        pairs.update(attention_backward(bt, bp, cfg, dx_attn))
+        yield layer, pairs
+        if layer:
+            dx = (pairs["W_Q"][1] @ bp.W_Q.T + pairs["W_K"][1] @ bp.W_K.T
+                  + pairs["W_V"][1] @ bp.W_V.T + (dx_attn if cfg.use_skip else 0.0))

@@ -7,14 +7,24 @@ from skiplab.analysis import (concat_bound, condition_profile_for_params,
                               gram_moments, layer_condition_profile,
                               perturbation_split, prop1_trial,
                               sample_low_coherence_pair,
-                              softmax_derivative_beta_sweep,
-                              softmax_of_scaled_identity_kappa)
+                              softmax_derivative_beta_sweep)
 from skiplab.init import InitSpec, init_network
 from skiplab.linalg import condition_number, kron, spectral_norm
 from skiplab.model import ModelConfig, NetworkParams, network_forward, row_softmax
 
 
 # --- Prop. 1 softmax conditioning --------------------------------------------
+
+def softmax_of_scaled_identity_kappa(n: int, beta: float, temperature: float = 1.0) -> float:
+    """Closed-form kappa of row_softmax(beta*I, temperature).
+
+    The output is (p - q) I + q 11^T with p = e^(beta/tau) / (e^(beta/tau)+n-1)
+    and q = 1 / (e^(beta/tau)+n-1); its singular values are 1 (the row-sum
+    direction) and p - q, so kappa = 1 / (p - q)."""
+    e = float(np.exp(beta / temperature))
+    p_minus_q = (e - 1.0) / (e + n - 1.0)
+    return np.inf if p_minus_q == 0.0 else 1.0 / p_minus_q
+
 
 def test_prop1_diagonal_dominant_anchor():
     kappas = [prop1_trial(10, 0.1, 5.0, 1.0, seed).kappa for seed in range(100)]

@@ -68,9 +68,9 @@ def test_traced_training_runs_the_model_forward():
 
 
 def test_traced_profile_traces_each_sample_once():
-    """A profile traces each batch sample once and builds each K once per
-    sample in the backward sweep, plus the kappa(K) rows of the first
-    sample; without kappa(J) only the first sample is traced."""
+    """A profile traces each batch sample once and builds each K once, for
+    the kappa(K) rows of the first sample: the kappa(J) backward builds no K
+    and no K-hat.  Without kappa(J) only the first sample is traced."""
     from skiplab.analysis import condition_profile_for_params
     layers, batch_size = 4, 2
     mc = ModelConfig(L=layers, n=4, d=8, h=2, attention_scale=2.0,
@@ -84,7 +84,8 @@ def test_traced_profile_traces_each_sample_once():
     table = t.span_table()
     assert [r.inputs["layer"] for r in records] == list(range(layers))
     assert table["model.network_forward"]["calls"] == batch_size
-    assert table["jacobian.sa_input_jacobian"]["calls"] <= layers + batch_size * layers
+    assert table["jacobian.sa_input_jacobian"]["calls"] == layers
+    assert table.get("jacobian.mlp_input_jacobian", {"calls": 0})["calls"] == 0
     with tracer.Tracer() as t:
         condition_profile_for_params(params, mc, batch, seed=0,
                                      include_param_jacobian=False)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from skiplab.harness import (Dataset, FlatParams, TensorFileError, TrainConfig,
                              params_digest, save_tensor_file, synth_task, train)
 from skiplab.init import InitSpec, init_network
 from skiplab.jacobian import finite_difference_jacobian
-from skiplab.model import ModelConfig, NetworkParams, network_forward
+from skiplab.model import BlockParams, ModelConfig, NetworkParams, network_forward
 
 
 def toy_model(**kw):
@@ -230,13 +231,19 @@ def _fd_gradient_error(mc, params, x, y):
     grads = params.zeros_like()
     loss_and_gradients(params, grads, x, y, mc)
 
-    def loss_at(vs):
-        # One point at a time: every evaluation writes the shared vector.
-        losses = []
-        for v in vs:
-            params.vector[:] = v
-            losses.append([loss_and_gradients(params, params.zeros_like(), x, y, mc)])
-        return np.array(losses)
+    def loss_at(points):
+        # One stacked forward: every tensor is a (k, 1, ...) view of the
+        # (k, P) point stack, which broadcasts with the (batch, n, d) tokens.
+        k, ends = len(points), np.cumsum([t.size for t in params.tensors])
+        views = iter([points[:, e - t.size:e].reshape(k, 1, *(1,) * (2 - t.ndim), *t.shape)
+                      for t, e in zip(params.tensors, ends)])
+        net = NetworkParams([BlockParams(*itertools.islice(views, 8)) for _ in range(mc.L)])
+        head_w, head_b = views
+        pooled = network_forward(x, net, mc).output.mean(axis=-2, keepdims=True)
+        logits = (pooled @ head_w + head_b)[..., 0, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        nll = np.log(np.exp(shifted).sum(axis=-1)) - shifted[:, np.arange(len(y)), y]
+        return nll.mean(axis=1, keepdims=True)
 
     fd = finite_difference_jacobian(loss_at, params.vector.copy()).ravel()
     return np.linalg.norm(grads.vector - fd) / np.linalg.norm(fd)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skiplab.jacobian
+import skiplab.linalg
+from skiplab.harness import _stacked_outer
 from skiplab.init import InitSpec, init_network
-from skiplab.jacobian import (FD_CHUNK, FD_STEP, MAX_ND,
-                              attention_input_jacobian,
+from skiplab.jacobian import (ATTENTION_WEIGHTS, FD_CHUNK, FD_STEP, MAX_ND,
+                              _attention_rows, attention_input_jacobian,
                               batch_param_jacobian, block_chain_jacobian,
                               fd_check_instance, finite_difference_jacobian,
                               flatten_attention_params, logits_input_jacobian,
@@ -19,8 +21,9 @@ from skiplab.jacobian import (FD_CHUNK, FD_STEP, MAX_ND,
                               with_attention_params)
 from skiplab.linalg import (BudgetError, commutation_permutation, condition_number,
                             kron, kron_eye_apply, spectral_norm, unvec, vec)
-from skiplab.model import (BlockParams, ModelConfig, NetworkParams,
-                           activation_derivative, network_forward, row_softmax)
+from skiplab.model import (ACTIVATIONS, BlockParams, ModelConfig, NetworkParams,
+                           activation_derivative, network_backward, network_forward,
+                           row_softmax)
 from test_model import random_params, small_config
 
 
@@ -500,15 +503,19 @@ def test_chain_three_layers_matches_fd(use_skip):
 
 def _forward_product_chain(trace, layer):
     """Dense oracle: layer ``layer``'s chain Jacobian as the forward product
-    of every downstream stage factor, built from the input Jacobians."""
+    of every downstream stage factor, built from the input Jacobians; an MLP
+    stage is the identity without an MLP."""
     cfg = trace.config
     eye = np.eye(cfg.n * cfg.d)
     skip = eye if cfg.use_skip else 0.0
-    j = (mlp_input_jacobian(trace, layer) + skip) @ \
-        sa_param_jacobian(trace, layer)
+
+    def mlp_factor(i):
+        return mlp_input_jacobian(trace, i) + skip if cfg.use_mlp else eye
+
+    j = mlp_factor(layer) @ sa_param_jacobian(trace, layer)
     for i in range(layer + 1, cfg.L):
         j = (sa_input_jacobian(trace, i) + skip) @ j
-        j = (mlp_input_jacobian(trace, i) + skip) @ j
+        j = mlp_factor(i) @ j
     return j
 
 
@@ -524,6 +531,44 @@ def test_chain_sweep_matches_forward_product(h, use_skip):
     for layer in range(cfg.L):
         got = block_chain_jacobian(trace, layer)
         assert relative_frobenius(got, _forward_product_chain(trace, layer)) < 1e-12
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("use_mlp", [True, False])
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(layers=st.integers(1, 3), n=st.integers(2, 4), d_h=st.integers(1, 3),
+       hidden=st.integers(1, 5), scale=st.floats(0.8, 3.0), seed=st.integers(0, 2**16))
+def test_property_one_backward(h, use_skip, use_mlp, activation, layers, n, d_h,
+                               hidden, scale, seed):
+    """The backward on unit cotangents gives every layer's chain Jacobian of
+    each sample (against the dense forward product), and on any cotangent
+    stack its per-cotangent attention gradients sum to the trainer's
+    contraction of the same pairs."""
+    cfg = ModelConfig(L=layers, n=n, d=h * d_h, h=h, attention_scale=scale,
+                      activation=activation, use_skip=use_skip, use_mlp=use_mlp,
+                      mlp_hidden=hidden)
+    params = random_params(cfg, seed=seed, std=1.0 / np.sqrt(cfg.d))
+    rng = np.random.default_rng(seed + 1)
+    traces = [network_forward(rng.standard_normal((n, cfg.d)), params, cfg)
+              for _ in range(2)]
+    nd = n * cfg.d
+    for layer, j in batch_param_jacobian(traces):
+        for i, trace in enumerate(traces):
+            want = _forward_product_chain(trace, layer)
+            assert relative_frobenius(j[i * nd:(i + 1) * nd], want) < 1e-12, (layer, i)
+
+    cotangents = rng.standard_normal((5, n, cfg.d))
+    for _, pairs in network_backward(traces[0], cotangents):
+        summed = _attention_rows(pairs).sum(axis=0)
+        want = []
+        for name in ATTENTION_WEIGHTS:
+            x, dy = pairs[name]
+            out = np.empty((cfg.d, cfg.d))
+            _stacked_outer(np.broadcast_to(x, dy.shape), dy, out)
+            want.append(vec(out))
+        assert relative_frobenius(summed, np.concatenate(want)) < 1e-12
 
 
 def test_chain_skip_identity_at_zero_weights():
@@ -542,22 +587,30 @@ def test_chain_skip_identity_at_zero_weights():
     assert np.array_equal(got, sa_param_jacobian(trace, 0))
 
 
-def test_chain_builds_only_its_own_param_jacobian(monkeypatch):
-    """Stopping the sweep at layer 0 of three builds sa_param_jacobian once."""
+def test_chain_calls_no_input_jacobian_or_kron(monkeypatch):
+    """The chain path is the backward on unit cotangents: it builds no K, no
+    K-hat and no Kronecker product, for one layer or the whole batch."""
     calls = []
-    original = skiplab.jacobian.sa_param_jacobian
 
-    def counted(trace, layer, left=None):
-        calls.append(layer)
-        return original(trace, layer, left)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(skiplab.jacobian, "sa_param_jacobian", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("sa_input_jacobian", "mlp_input_jacobian", "kron"):
+        counted(skiplab.jacobian, name)
+    counted(skiplab.linalg, "kron")
     cfg = small_config(L=3)
     params = random_params(cfg, seed=46)
-    trace = network_forward(np.random.default_rng(47).standard_normal((cfg.n, cfg.d)),
-                            params, cfg)
-    block_chain_jacobian(trace, 0)
-    assert calls == [0]
+    rng = np.random.default_rng(47)
+    traces = [network_forward(rng.standard_normal((cfg.n, cfg.d)), params, cfg)
+              for _ in range(2)]
+    block_chain_jacobian(traces[0], 0)
+    assert [layer for layer, _ in batch_param_jacobian(traces)] == [2, 1, 0]
+    assert calls == []
 
 
 def test_chain_layer_out_of_range():
