@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .init import InitSpec, init_network
-from .jacobian import (batch_param_jacobian, mlp_token_blocks, sa_input_jacobian,
-                       sa_split)
+from .jacobian import (batch_param_jacobian, gauge_free_width, mlp_token_blocks,
+                       sa_input_jacobian, sa_split)
 from .linalg import (condition_from_singular_values, condition_number, kron_eye_apply,
                      singular_values, spectral_norm)
 from .model import ModelConfig, network_forward, row_softmax
@@ -301,15 +301,20 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     kappa(K-hat) comes from its n per-token d x d blocks.
 
     Pure measurement: neither params nor batch are modified.  Note kappa(J)
-    is informative only in the wide regime m*n*d < 4d^2; the query/key and
-    value/output products are gauge-invariant, so a tall parameter Jacobian
-    has exact null directions and an INFINITE condition number by structure.
+    is informative only while m*n*d <= 4d^2 - 2d^2/h: the query/key and
+    value/output products are gauge-invariant, so J has 2d^2/h exact null
+    directions, and a stack with more rows than the remaining columns is
+    rank deficient by structure.  It is reported INFINITE without a
+    backward or an SVD; an SVD of the tall gauge-free stack would return a
+    finite kappa.
     """
+    param_jacobian = (include_param_jacobian
+                      and len(batch) * config.n * config.d <= gauge_free_width(config))
     traces = [network_forward(x, params, config)
-              for x in (batch if include_param_jacobian else batch[:1])]
-    kappa_j = {}
-    if include_param_jacobian:
-        kappa_j = {layer: condition_number(j) for layer, j in batch_param_jacobian(traces)}
+              for x in (batch if param_jacobian else batch[:1])]
+    kappa_j = dict.fromkeys(range(config.L), float("inf"))
+    if param_jacobian:
+        kappa_j = {layer: condition_number(c) for layer, c in batch_param_jacobian(traces)}
     records = []
     for layer in range(config.L):
         k = sa_input_jacobian(traces[0], layer)

@@ -100,6 +100,9 @@ class TrainLog:
     probes: list[tuple[int, list[ExperimentRecord]]] = field(default_factory=list)
     diverged: bool = False
     diverged_step: int | None = None
+    # Where the forward went non-finite; None when the loss itself did.
+    diverged_layer: int | None = None
+    diverged_stage: str | None = None
     final_digest: str = ""
 
 
@@ -232,10 +235,11 @@ def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
     pooled = trace.output.mean(axis=1)
     logits = pooled @ params.head_w + params.head_b
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(batch), y]))
+    dlogits = np.exp(shifted)
+    z = dlogits.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(batch), y]))
 
-    dlogits = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    dlogits /= z
     dlogits[np.arange(batch), y] -= 1.0
     dlogits /= batch
     np.matmul(pooled.T, dlogits, out=grads.head_w)
@@ -315,9 +319,9 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
     """Deterministic single-threaded minibatch training on a non-empty dataset.
 
     Stops early with the divergence flag on the first non-finite forward or
-    loss; the partial loss log is preserved.  Conditioning probes run the
-    analysis profile on the current weights (pure measurement, parameters
-    untouched).
+    loss; the partial loss log is preserved, and so are a non-finite
+    forward's layer and stage.  Conditioning probes run the analysis profile
+    on the current weights (pure measurement, parameters untouched).
     """
     mc = config.model
     if dataset.n != mc.n or dataset.d_in != mc.d:
@@ -351,7 +355,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
                     include_param_jacobian=False)))
             loss = loss_and_gradients(params, grads, dataset.tokens[idx],
                                       dataset.labels[idx].astype(int), mc)
-        except DivergenceError:
+        except DivergenceError as exc:
+            log.diverged_layer, log.diverged_stage = exc.layer, exc.stage
             loss = np.nan
         if not np.isfinite(loss):
             log.diverged = True

@@ -22,6 +22,13 @@ The chain parameter Jacobian J of a layer is the trainer's backward
 layer's attention pairs contracted per cotangent: no nd x nd downstream
 factor, K or K-hat is formed.  Dense products are test oracles only.
 
+The output depends on head i's factors only through P_i = W_Q,i W_K,i^T and
+G_i = W_V,i W_O,i, so (W_Q,i S, -W_K,i S^T) and (W_V,i S, -S W_O,i) are
+null directions of J for every d_h x d_h S: rank(J) <= 4d^2 - 2d^2/h, and a
+stack of m samples is informative only while m*n*d <= 4d^2 - 2d^2/h.  For
+kappa(J) the stack is built without those columns
+(:func:`batch_param_jacobian`), in coordinates where C C^T = J J^T.
+
 Note the left factor of K: (X G kron I_n)^T and ((X G)^T kron I_n) are the
 same matrix, so the two typographic variants of the formula agree.
 
@@ -39,8 +46,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply, unvec, vec
-from .model import (BlockParams, ForwardTrace, NetworkParams, activation_derivative,
-                    attention_backward, network_backward, network_forward)
+from .model import (BlockParams, ForwardTrace, ModelConfig, NetworkParams,
+                    activation_derivative, attention_backward, network_backward,
+                    network_forward)
 
 # Dense nd x nd materialization cap.
 MAX_ND = 2048
@@ -209,15 +217,93 @@ def block_chain_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
             return _attention_rows(pairs)
 
 
+def gauge_free_width(config: ModelConfig) -> int:
+    """Columns of the gauge-free chain Jacobian, 4d^2 - 2d^2/h: the attention
+    parameters less the d_h^2 gauge directions of each head's W_Q W_K^T and
+    of its W_V W_O.  It bounds the rank of J."""
+    return 4 * config.d * config.d - 2 * config.d * config.d_h
+
+
+def _heads(t: np.ndarray, h: int) -> np.ndarray:
+    """(..., r, d) -> (h, ..., r, d_h): head i's column block first."""
+    return np.moveaxis(t.reshape(*t.shape[:-1], h, -1), -2, 0)
+
+
+def _givens(s_a: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s_a, s_b) / hypot(s_a, s_b), 0 where the hypot is 0: c_a a + c_b b is
+    the coordinate of the pair (a, b) orthogonal to the gauge direction
+    (s_b, -s_a); the partner along it is zero."""
+    hyp = np.hypot(s_a, s_b)
+    scale = np.divide(1.0, hyp, out=np.zeros_like(hyp), where=hyp > 0.0)
+    return s_a * scale, s_b * scale
+
+
+def _gauge_frames(bp: BlockParams, h: int) -> tuple:
+    """Per head, stacked over heads: the (input, cotangent) rotations of each
+    weight's factor pair and the Givens weights of the two merges, from the
+    full SVDs W_Q,i = U_Q S_Q R_Q^T, W_K,i = U_K S_K R_K^T and
+    W_V,i = U_V S_V R_V^T (d x d_h), and W_O,i = P_O S_O U_O^T (d_h x d)."""
+    (u_q, s_q, rt_q), (u_k, s_k, rt_k), (u_v, s_v, rt_v), (p_o, s_o, ut_o) = (
+        np.linalg.svd(w) for w in (_heads(bp.W_Q, h), _heads(bp.W_K, h), _heads(bp.W_V, h),
+                                   bp.W_O.reshape(h, -1, bp.W_O.shape[1])))
+    # Contiguous factors keep the broadcast matmuls on BLAS.
+    r_q, r_k, r_v, u_o = (np.ascontiguousarray(m.swapaxes(-1, -2))
+                          for m in (rt_q, rt_k, rt_v, ut_o))
+    rotations = (u_q, r_k), (u_k, r_q), (u_v, p_o), (r_v, u_o)
+    # sigma[a] down the rows, sigma[b] across the columns of a pair block.
+    merges = (_givens(s_k[:, None, None, :], s_q[:, None, :, None]),
+              _givens(s_o[:, None, None, :], s_v[:, None, :, None]))
+    return rotations, merges
+
+
+def _gauge_free_rows(pairs: dict, frames: tuple, h: int) -> np.ndarray:
+    """Row r: the attention gradients for cotangent r in gauge-free
+    coordinates, :func:`gauge_free_width` columns.
+
+    With the frames of :func:`_gauge_frames`, head i's gradients rotate to
+    Q~ = U_Q^T dW_Q R_K, K~ = U_K^T dW_K R_Q, V~ = U_V^T dW_V P_O and
+    O~ = R_V^T dW_O U_O, each rotation applied to the backward's factor pair
+    before the per-cotangent contraction.  Invariance of P_i and G_i makes
+    sigma_Q,a Q~_ab = sigma_K,b K~_ba and sigma_V,a V~_ab = sigma_O,b O~_ab
+    for a, b < d_h: each such pair keeps its one Givens-merged coordinate,
+    and the entries outside the pair blocks are kept as they are.
+    """
+    ((u_q, r_k), (u_k, r_q), (u_v, p_o), (r_v, u_o)), ((c_q, c_k), (c_v, c_o)) = frames
+    (x, dq), (_, dk), (_, dv), (o, dout) = (pairs[w] for w in ATTENTION_WEIGHTS)
+
+    def rotated(inp, right, cot, left):
+        # (inp @ right)^T (cot @ left), per head and cotangent: (h, m, ., .).
+        return (inp @ right).swapaxes(-1, -2)[:, None] @ (cot @ left[:, None])
+
+    q = rotated(x, u_q, _heads(dq, h), r_k)
+    # K~ transposed, so that each pair block is laid out like its partner's.
+    k_t = (_heads(dk, h) @ r_q[:, None]).swapaxes(-1, -2) @ (x @ u_k)[:, None]
+    v = rotated(x, u_v, _heads(dv, h), p_o)
+    o = rotated(_heads(o, h), r_v, dout, u_o)
+    d_h = c_q.shape[-1]
+    pieces = (c_q * q[..., :d_h, :] + c_k * k_t[..., :d_h],
+              q[..., d_h:, :], k_t[..., d_h:],
+              c_v * v[..., :d_h, :] + c_o * o[..., :d_h],
+              v[..., d_h:, :], o[..., d_h:])
+    return np.concatenate([t.swapaxes(0, 1).reshape(len(dq), -1) for t in pieces], axis=1)
+
+
 def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.ndarray]]:
-    """Per layer, (layer, J) with J the (m*n*d) x 4d^2 stack of the m
-    per-sample chain Jacobians, vertically in sample order; one backward per
-    trace on the unit cotangents, layers yielded last first."""
+    """Per layer, (layer, C) with C the (m*n*d) x gauge_free_width stack of
+    the m per-sample chain Jacobians in gauge-free coordinates, vertically in
+    sample order: C C^T = J J^T for the stack J of the chain Jacobians, so C
+    has J's singular values (see the module docstring).  One backward per
+    trace on the unit cotangents, layers yielded last first; the traces are
+    samples of one network, whose weight frames are taken once per layer."""
     if not traces:
         raise ValueError("batch must contain at least one sample")
     eye = _cotangent_stack(traces[0])
+    cfg, blocks = traces[0].config, traces[0].params.blocks
     for steps in zip(*(network_backward(t, eye) for t in traces)):
-        stacked = steps[0][0], np.vstack([_attention_rows(pairs) for _, pairs in steps])
+        layer = steps[0][0]
+        frames = _gauge_frames(blocks[layer], cfg.h)
+        stacked = layer, np.vstack([_gauge_free_rows(pairs, frames, cfg.h)
+                                    for _, pairs in steps])
         # Drop the per-sample cotangents before the caller holds the stack.
         del steps
         yield stacked
@@ -292,7 +378,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     generic position (tiny default-init weights would make relative errors
     meaningless).  Each map handed to the oracle evaluates a stack of points
     as one stacked forward."""
-    from .model import ModelConfig, row_softmax, self_attention
+    from .model import row_softmax, self_attention
 
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}

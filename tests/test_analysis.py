@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from skiplab.analysis import (concat_bound, condition_profile_for_params,
                               sample_low_coherence_pair,
                               softmax_derivative_beta_sweep)
 from skiplab.init import InitSpec, init_network
+from skiplab.jacobian import block_chain_jacobian
 from skiplab.linalg import condition_number, kron, spectral_norm
 from skiplab.model import ModelConfig, NetworkParams, network_forward, row_softmax
 
@@ -297,8 +300,9 @@ def test_profile_sa_block_is_the_bottleneck_skipless_default():
 
 
 def test_profile_param_jacobian_proposed_below_default():
-    """In the wide regime (m*n*d < 4d^2) the proposed init conditions the
-    stacked parameter Jacobian strictly better than the default, per seed."""
+    """Where kappa(J) is informative (m*n*d <= 4d^2 - 2d^2/h; here 256 <= 512)
+    the proposed init conditions the stacked parameter Jacobian strictly
+    better than the default, per seed."""
     cfg = ModelConfig(L=1, n=8, d=16, h=1, attention_scale=4.0, use_skip=False,
                       use_mlp=True, mlp_hidden=32)
     for seed in range(10):
@@ -351,3 +355,61 @@ def test_profile_param_jacobian_builds_no_kron(monkeypatch):
         include_param_jacobian=True)
     assert all("kappa_J" in r.metrics for r in records)
     assert calls and not any(calls)
+
+
+def test_profile_param_jacobian_past_gauge_free_width_is_infinite(monkeypatch):
+    """At n=8, d=8, h=1 and batch 3 the stack has 192 rows, fewer than the
+    4d^2 = 256 parameters but more than the 2d^2 = 128 gauge-free columns:
+    rank(J) <= 128, so every kappa_J is INFINITE, as the full J's SVD says,
+    and none is computed by an SVD (3 singular_values calls per record, for
+    K, K+I and K-hat)."""
+    import skiplab.linalg
+    shapes = []
+    original = skiplab.linalg.singular_values
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return original(m, *args, **kwargs)
+
+    cfg = ModelConfig(L=2, n=8, d=8, h=1, attention_scale=4.0, mlp_hidden=16)
+    spec = InitSpec(seed=5)
+    monkeypatch.setattr(skiplab.linalg, "singular_values", counted)
+    records = layer_condition_profile(cfg, spec, 3, 5)
+    monkeypatch.undo()
+    assert len(records) == 6
+    assert all(r.metrics["kappa_J"] == np.inf for r in records)
+    assert len(shapes) == 3 * len(records)
+    assert all(cols <= cfg.n * cfg.d for _, cols in shapes)
+    # The full J of each regime, from layer_condition_profile's batch and weights.
+    rng = np.random.default_rng(5)
+    batch = [rng.standard_normal((cfg.n, cfg.d)) for _ in range(3)]
+    for use_skip, scheme in ((True, "default"), (False, "default"), (False, "proposed")):
+        c = replace(cfg, use_skip=use_skip)
+        params = init_network(c, replace(spec, scheme=scheme))
+        traces = [network_forward(x, params, c) for x in batch]
+        for layer in range(cfg.L):
+            j = np.vstack([block_chain_jacobian(t, layer) for t in traces])
+            assert j.shape == (192, 256)
+            assert condition_number(j) == np.inf, (use_skip, scheme, layer)
+
+
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("n, d, h, batch_size", [(4, 4, 1, 2), (3, 4, 2, 4), (2, 4, 4, 7)])
+def test_profile_kappa_j_matches_full_j_at_gauge_free_width(n, d, h, batch_size, use_skip):
+    """With exactly 4d^2 - 2d^2/h rows, kappa_J from the square gauge-free
+    stack has the full J's verdict, and its value up to rounding: sigma_min
+    moves by O(eps sigma_max), so kappa by O(eps kappa) relative."""
+    from test_model import random_params
+    cfg = ModelConfig(L=2, n=n, d=d, h=h, attention_scale=1.0, mlp_hidden=2 * d,
+                      use_skip=use_skip)
+    params = random_params(cfg, seed=8, std=0.5)
+    rng = np.random.default_rng(9)
+    batch = [rng.standard_normal((n, d)) for _ in range(batch_size)]
+    traces = [network_forward(x, params, cfg) for x in batch]
+    for r in condition_profile_for_params(params, cfg, batch, seed=0):
+        j = np.vstack([block_chain_jacobian(t, r.inputs["layer"]) for t in traces])
+        assert j.shape[0] == 4 * d * d - 2 * d * d // h
+        want, got = condition_number(j), r.metrics["kappa_J"]
+        assert np.isinf(got) == np.isinf(want)
+        if np.isfinite(want):
+            assert abs(got - want) <= 1e-13 * want * want

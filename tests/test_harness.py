@@ -347,6 +347,32 @@ def test_train_divergence_flag_preserves_partial_log():
         assert log.diverged
         assert log.diverged_step is not None
         assert len(log.losses) == log.diverged_step
+        # Step 1's forward overflows in layer 0's MLP.
+        assert (log.diverged_layer, log.diverged_stage) == (0, "mlp stage")
+
+
+@pytest.mark.parametrize("failure", ["forward", "loss"])
+def test_train_divergence_keeps_layer_and_stage(monkeypatch, failure):
+    """A forced DivergenceError at step 2 leaves its layer and stage on the
+    log; a loss that goes non-finite by itself leaves them None."""
+    import skiplab.harness
+    from skiplab.model import DivergenceError
+    original = skiplab.harness.loss_and_gradients
+    steps = []
+
+    def failing(*args, **kwargs):
+        steps.append(None)
+        if len(steps) < 3:
+            return original(*args, **kwargs)
+        if failure == "forward":
+            raise DivergenceError(1, "attention stage")
+        return float("nan")
+
+    monkeypatch.setattr(skiplab.harness, "loss_and_gradients", failing)
+    log = train(synth_task(4, 8, 3, 16, 0.1, seed=10), toy_train_config(steps=5))
+    assert log.diverged and log.diverged_step == 2 and len(log.losses) == 2
+    want = (1, "attention stage") if failure == "forward" else (None, None)
+    assert (log.diverged_layer, log.diverged_stage) == want
 
 
 def test_train_probe_does_not_mutate_parameters():

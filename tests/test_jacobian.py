@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skiplab.jacobian
@@ -11,16 +11,18 @@ import skiplab.linalg
 from skiplab.harness import _stacked_outer
 from skiplab.init import InitSpec, init_network
 from skiplab.jacobian import (ATTENTION_WEIGHTS, FD_CHUNK, FD_STEP, MAX_ND,
-                              _attention_rows, attention_input_jacobian,
+                              _attention_rows, _gauge_frames, attention_input_jacobian,
                               batch_param_jacobian, block_chain_jacobian,
                               fd_check_instance, finite_difference_jacobian,
-                              flatten_attention_params, logits_input_jacobian,
+                              flatten_attention_params, gauge_free_width,
+                              logits_input_jacobian,
                               mlp_input_jacobian, mlp_token_blocks,
                               relative_frobenius, sa_input_jacobian,
                               sa_param_jacobian, softmax_jacobian,
                               with_attention_params)
 from skiplab.linalg import (BudgetError, commutation_permutation, condition_number,
-                            kron, kron_eye_apply, spectral_norm, unvec, vec)
+                            kron, kron_eye_apply, singular_values, spectral_norm, unvec,
+                            vec)
 from skiplab.model import (ACTIVATIONS, BlockParams, ModelConfig, NetworkParams,
                            activation_derivative, network_backward, network_forward,
                            row_softmax)
@@ -501,6 +503,16 @@ def test_chain_three_layers_matches_fd(use_skip):
         assert relative_frobenius(got, fd) < 1e-5, layer
 
 
+def _j_stack(traces):
+    """Per layer, the stack J of the per-sample chain Jacobians in
+    :func:`flatten_attention_params` coordinates: each trace's backward on
+    the unit cotangents, its attention pairs contracted by _attention_rows."""
+    cfg = traces[0].config
+    eye = unvec(np.eye(cfg.n * cfg.d), cfg.n, cfg.d)
+    return {steps[0][0]: np.vstack([_attention_rows(pairs) for _, pairs in steps])
+            for steps in zip(*(network_backward(t, eye) for t in traces))}
+
+
 def _forward_product_chain(trace, layer):
     """Dense oracle: layer ``layer``'s chain Jacobian as the forward product
     of every downstream stage factor, built from the input Jacobians; an MLP
@@ -554,7 +566,7 @@ def test_property_one_backward(h, use_skip, use_mlp, activation, layers, n, d_h,
     traces = [network_forward(rng.standard_normal((n, cfg.d)), params, cfg)
               for _ in range(2)]
     nd = n * cfg.d
-    for layer, j in batch_param_jacobian(traces):
+    for layer, j in _j_stack(traces).items():
         for i, trace in enumerate(traces):
             want = _forward_product_chain(trace, layer)
             assert relative_frobenius(j[i * nd:(i + 1) * nd], want) < 1e-12, (layer, i)
@@ -633,7 +645,7 @@ def test_batch_single_sample_equals_chain():
     x0 = np.random.default_rng(33).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x0, params, cfg)
     assert [layer for layer, _ in batch_param_jacobian([trace])] == [1, 0]
-    batched = _batch_by_layer([trace])[0]
+    batched = _j_stack([trace])[0]
     assert np.array_equal(batched, block_chain_jacobian(trace, 0))
 
 
@@ -657,11 +669,87 @@ def test_batch_rows_are_per_sample_jacobians():
     rng = np.random.default_rng(37)
     batch = [rng.standard_normal((cfg.n, cfg.d)) for _ in range(4)]
     traces = [network_forward(x0, params, cfg) for x0 in batch]
-    j = _batch_by_layer(traces)[1]
+    j = _j_stack(traces)[1]
     nd = cfg.n * cfg.d
     for i, trace in enumerate(traces):
         expected = block_chain_jacobian(trace, 1)
         assert np.array_equal(j[i * nd:(i + 1) * nd, :], expected)
+    # The gauge-free stack keeps the sample order: its Gram equals J's,
+    # cross-sample blocks included.
+    c = _batch_by_layer(traces)[1]
+    assert relative_frobenius(c @ c.T, j @ j.T) < 1e-12
+
+
+@pytest.mark.parametrize("h", [1, 2, 4])
+def test_j_maps_gauge_directions_to_zero(h):
+    """(W_Q,i S, -W_K,i S^T) and (W_V,i S, -S W_O,i) leave every head's
+    W_Q W_K^T and W_V W_O unchanged to first order: J maps them to zero."""
+    cfg = small_config(L=2, d=8, h=h, use_skip=False)
+    params = random_params(cfg, seed=38)
+    rng = np.random.default_rng(39)
+    trace = network_forward(rng.standard_normal((cfg.n, cfg.d)), params, cfg)
+    j = block_chain_jacobian(trace, 0)
+    bp = params.blocks[0]
+    zero = np.zeros((cfg.d, cfg.d))
+    for i in range(h):
+        blk = bp.head_slice(i, cfg.d_h)
+        s = rng.standard_normal((cfg.d_h, cfg.d_h))
+        dq, dk, dv, do = (zero.copy() for _ in range(4))
+        dq[:, blk], dk[:, blk] = bp.W_Q[:, blk] @ s, -bp.W_K[:, blk] @ s.T
+        dv[:, blk], do[blk] = bp.W_V[:, blk] @ s, -s @ bp.W_O[blk]
+        for theta in (np.concatenate([vec(dq), vec(dk), vec(zero), vec(zero)]),
+                      np.concatenate([vec(zero), vec(zero), vec(dv), vec(do)])):
+            assert np.linalg.norm(j @ theta) < 1e-12 * np.linalg.norm(j) * np.linalg.norm(theta)
+
+
+def _with_defect(params, defect):
+    """A zero column 0 in every layer's W_K and W_Q (with d_h = 1, head 0's
+    W_Q,0 and W_K,0 vanish, so both singular values are exactly 0 and the
+    Givens hypot is 0), or a zero row 0 in W_O (head 0's W_O block is rank
+    deficient)."""
+    for bp in params.blocks:
+        if defect == "qk_column":
+            bp.W_K[:, 0] = 0.0
+            bp.W_Q[:, 0] = 0.0
+        elif defect == "wo_rank":
+            bp.W_O[0] = 0.0
+    return params
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("use_mlp", [True, False])
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(layers=st.integers(1, 3), n=st.integers(2, 4), d_h=st.integers(1, 3),
+       samples=st.integers(1, 3), seed=st.integers(0, 2**16),
+       defect=st.sampled_from([None, "qk_column", "wo_rank"]))
+@example(layers=2, n=3, d_h=1, samples=2, seed=11, defect="qk_column")
+@example(layers=2, n=3, d_h=2, samples=2, seed=12, defect="wo_rank")
+def test_property_gauge_free_stack(h, use_skip, use_mlp, activation, layers, n, d_h,
+                                   samples, seed, defect):
+    """The gauge-free stack C has gauge_free_width columns, and C C^T and
+    the singular values match the stack of dense forward-product chain
+    Jacobians; the extra singular values of a taller J are zero."""
+    cfg = ModelConfig(L=layers, n=n, d=h * d_h, h=h, attention_scale=1.5,
+                      activation=activation, use_skip=use_skip, use_mlp=use_mlp,
+                      mlp_hidden=3)
+    params = _with_defect(random_params(cfg, seed=seed, std=1.0 / np.sqrt(cfg.d)), defect)
+    if defect == "qk_column" and d_h == 1:
+        (c_q, c_k), _ = _gauge_frames(params.blocks[0], h)[1]
+        assert c_q[0].max() == c_k[0].max() == 0.0
+    rng = np.random.default_rng(seed + 1)
+    traces = [network_forward(rng.standard_normal((n, cfg.d)), params, cfg)
+              for _ in range(samples)]
+    for layer, c in batch_param_jacobian(traces):
+        j = np.vstack([_forward_product_chain(t, layer) for t in traces])
+        assert c.shape == (len(j), gauge_free_width(cfg))
+        assert relative_frobenius(c @ c.T, j @ j.T) < 1e-12, layer
+        s_c, s_j = singular_values(c), singular_values(j)
+        k = len(s_c)
+        tol = 1e-12 * s_j[0]
+        assert np.all(np.abs(s_c - s_j[:k]) <= tol), layer
+        assert np.all(s_j[k:] <= tol), layer
 
 
 def test_batch_requires_samples():
