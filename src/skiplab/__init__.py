@@ -3,9 +3,7 @@ and the initialization that makes skipless transformer stacks trainable."""
 
 __version__ = "0.1.0"
 
-from .analysis import (ConcatReport, ExperimentRecord, MomentReport,
-                       PerturbationReport, Prop1Trial, concat_bound,
-                       gram_moments, layer_condition_profile,
+from .analysis import (concat_bound, gram_moments, layer_condition_profile,
                        perturbation_split, prop1_trial)
 from .harness import (Dataset, TrainConfig, TrainLog, load_tensor_file,
                       optimizer_step, save_tensor_file, synth_task, train)

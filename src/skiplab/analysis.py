@@ -14,11 +14,15 @@ Covers the four analytical claims the initialization rests on:
   the mutual-coherence hypothesis rho < s_min^2 (``concat_bound``);
 
 plus per-layer conditioning profiles across the skip/skipless/init regimes.
+
+Results are measurements only: each check returns a dict of metrics keyed by
+the report's own column names, in report order, and a profile returns one
+such dict per layer.  ``cli`` adds the input echo and builds the report rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,91 +37,34 @@ MOMENT_CHUNK = 2000  # gram_moments trials drawn per vectorized batch
 COHERENCE_TRIES = 64  # sample_low_coherence_pair draws before giving up
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One emitted result row: the command, its complete input echo, the seed
-    and the measured metrics.  Metric values are floats (inf encodes the
-    INFINITE condition-number token)."""
-
-    command: str
-    inputs: dict
-    seed: int
-    metrics: dict
-
-
-@dataclass(frozen=True)
-class Prop1Trial:
-    n: int
-    alpha: float
-    beta: float
-    temperature: float
-    seed: int
-    kappa: float
-    delta: float  # max row range of the logits
-    gamma: float  # min row margin: diagonal minus largest off-diagonal
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    d: int
-    alpha: float
-    beta: float
-    trials: int
-    empirical: dict
-    closed_form: dict
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    layer: int
-    e_norm: float
-    b_sigma_min: float
-    b_sigma_max: float
-    b_kappa: float
-    k_kappa: float
-    dominance_ratio: float
-
-
-@dataclass(frozen=True)
-class ConcatReport:
-    rho: float
-    tau_bal: float
-    s_max: float
-    s_min: float
-    kappa_max: float
-    bound: float
-    actual: float
-    hypothesis_satisfied: bool
-
-
 def prop1_trial(n: int, alpha: float, beta: float, temperature: float,
-                seed: int) -> Prop1Trial:
+                seed: int) -> dict[str, float]:
     """Condition a softmax of M = alpha*G + beta*I (G standard Gaussian).
 
-    Measures kappa(row_softmax(M, temperature)), the largest row range of M,
-    and the smallest diagonal-minus-max-off-diagonal margin of M.
+    Measures ``kappa`` = kappa(row_softmax(M, temperature)), ``delta``, the
+    largest row range of M, and ``gamma``, the smallest
+    diagonal-minus-max-off-diagonal margin of M.
     """
     if n < 2:
         raise ValueError("prop1_trial needs n >= 2")
     rng = np.random.default_rng(seed)
     m = alpha * rng.standard_normal((n, n)) + beta * np.eye(n)
     a = row_softmax(m, temperature)
-    kappa = condition_number(a)
-    delta = float(np.max(m.max(axis=1) - m.min(axis=1)))
     off = m + np.diag(np.full(n, -np.inf))
-    gamma = float(np.min(np.diagonal(m) - off.max(axis=1)))
-    return Prop1Trial(n=n, alpha=alpha, beta=beta, temperature=temperature,
-                      seed=seed, kappa=kappa, delta=delta, gamma=gamma)
+    return {"kappa": condition_number(a),
+            "delta": float(np.max(m.max(axis=1) - m.min(axis=1))),
+            "gamma": float(np.min(np.diagonal(m) - off.max(axis=1)))}
 
 
 def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
-                 seed: int) -> MomentReport:
+                 seed: int) -> dict[str, float]:
     """Monte-Carlo entry moments of A = XX^T, B = XZX^T, C = alpha*B + beta*A.
 
     X has i.i.d. standard-normal rows; Z_ij ~ N(0, 1/d).  The margin gamma is
-    C_ii - C_ij pooled over all ordered pairs i != j.  Closed forms from the
-    moment analysis are attached for comparison; both published variants of
-    the C-diagonal and gamma variances are recorded under ``*_alt`` keys.
+    C_ii - C_ij pooled over all ordered pairs i != j.  The empirical moments
+    come first, then the closed forms from the moment analysis under
+    ``closed_*`` keys; where the published form differs from the exact one,
+    the exact value is recorded too, under ``*_exact``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -181,11 +128,10 @@ def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
         "var_gamma": alpha**2 * (d + 3.0) + beta**2 * 3.0 * d,
         "var_gamma_exact": alpha**2 * (2.0 * d + 2.0) + beta**2 * 3.0 * d,
     }
-    return MomentReport(d=d, alpha=alpha, beta=beta, trials=trials,
-                        empirical=empirical, closed_form=closed)
+    return empirical | {f"closed_{k}": v for k, v in closed.items()}
 
 
-def perturbation_split(trace, layer: int) -> PerturbationReport:
+def perturbation_split(trace, layer: int) -> dict[str, float]:
     """Split the attention input Jacobian K into dominant + perturbation terms.
 
     B = (W_V W_O)^T kron A (well-conditioned whenever both factors are) and
@@ -198,24 +144,19 @@ def perturbation_split(trace, layer: int) -> PerturbationReport:
     s_b = singular_values(b)
     b_max, b_min = float(s_b[0]), float(s_b[-1])
     e_norm = spectral_norm(kron_eye_apply(np.linalg.qr(m, mode="r"), a_prime))
-    return PerturbationReport(
-        layer=layer,
-        e_norm=e_norm,
-        b_sigma_min=b_min,
-        b_sigma_max=b_max,
-        b_kappa=condition_from_singular_values(s_b),
-        k_kappa=condition_number(b + kron_eye_apply(m, a_prime)),
-        dominance_ratio=e_norm / max(b_min, 1e-300),
-    )
+    return {"e_norm": e_norm, "b_sigma_min": b_min, "b_sigma_max": b_max,
+            "kappa_B": condition_from_singular_values(s_b),
+            "kappa_K": condition_number(b + kron_eye_apply(m, a_prime)),
+            "dominance_ratio": e_norm / max(b_min, 1e-300)}
 
 
-def concat_bound(a: np.ndarray, b: np.ndarray) -> ConcatReport:
+def concat_bound(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
     """Evaluate the column-concatenation conditioning bound for [A B].
 
     rho = ||A^T B||_2 measures block alignment; tau_bal the spectral-norm
     balance.  The bound tau_bal * sqrt((1 + rho/s_max^2)/(1 - rho/s_min^2))
-    * kappa_max is only claimed when rho < s_min^2; outside that hypothesis
-    it is reported as inf and nothing is asserted.
+    * kappa_max is only claimed when rho < s_min^2 (``hypothesis``); outside
+    that hypothesis it is reported as inf and nothing is asserted.
     """
     if a.shape[0] != b.shape[0]:
         raise ValueError("blocks must share a row count")
@@ -231,10 +172,9 @@ def concat_bound(a: np.ndarray, b: np.ndarray) -> ConcatReport:
         bound = tau_bal * np.sqrt((1.0 + rho / s_max**2) / (1.0 - rho / s_min**2)) * kappa_max
     else:
         bound = float("inf")
-    actual = condition_number(np.hstack([a, b]))
-    return ConcatReport(rho=rho, tau_bal=tau_bal, s_max=s_max, s_min=s_min,
-                        kappa_max=kappa_max, bound=float(bound), actual=actual,
-                        hypothesis_satisfied=satisfied)
+    return {"rho": rho, "tau_bal": tau_bal, "s_max": s_max, "s_min": s_min,
+            "kappa_max": kappa_max, "bound": float(bound),
+            "actual": condition_number(np.hstack([a, b])), "hypothesis": satisfied}
 
 
 def sample_low_coherence_pair(rows: int, cols: int,
@@ -286,19 +226,19 @@ def softmax_derivative_beta_sweep(n: int, d: int, alpha: float,
     return norms
 
 
-REGIMES = ("skip_default", "skipless_default", "skipless_proposed")
+REGIMES = {"skip_default": True, "skipless_default": False,
+           "skipless_proposed": False}  # regime -> use_skip
 
 
 def condition_profile_for_params(params, config: ModelConfig, batch: list[np.ndarray],
-                                 seed: int, include_param_jacobian: bool = True,
-                                 extra_inputs: dict | None = None,
-                                 ) -> list[ExperimentRecord]:
+                                 include_param_jacobian: bool = True) -> list[dict]:
     """Per-layer kappa(K), kappa(K+I), kappa(K-hat) of the first batch
     sample's trace and optionally kappa(J) of the whole batch, for one fixed
-    parameter set.  Each sample is traced once; kappa(J) of every layer comes
-    from one backward sweep per sample, which builds no K, so each K is built
-    once, for the dense nd x nd SVDs of kappa(K) and kappa(K+I).
-    kappa(K-hat) comes from its n per-token d x d blocks.
+    parameter set: one metrics dict per layer.  Each sample is traced once;
+    kappa(J) of every layer comes from one backward sweep per sample, which
+    builds no K, so each K is built once, for the dense nd x nd SVDs of
+    kappa(K) and kappa(K+I).  kappa(K-hat) comes from its n per-token d x d
+    blocks.
 
     Pure measurement: neither params nor batch are modified.  Note kappa(J)
     is informative only while m*n*d <= 4d^2 - 2d^2/h: the query/key and
@@ -315,7 +255,7 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     kappa_j = dict.fromkeys(range(config.L), float("inf"))
     if param_jacobian:
         kappa_j = {layer: condition_number(c) for layer, c in batch_param_jacobian(traces)}
-    records = []
+    profile = []
     for layer in range(config.L):
         k = sa_input_jacobian(traces[0], layer)
         metrics = {"kappa_K": condition_number(k)}
@@ -324,24 +264,16 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
         metrics["kappa_Khat"] = condition_number(mlp_token_blocks(traces[0], layer))
         if include_param_jacobian:
             metrics["kappa_J"] = kappa_j[layer]
-        inputs = {"layer": layer, "n": config.n, "d": config.d, "h": config.h,
-                  "L": config.L, "mlp_hidden": config.mlp_hidden,
-                  "activation": config.activation,
-                  "attention_scale": config.attention_scale,
-                  "use_skip": config.use_skip, "batch_size": len(batch)}
-        if extra_inputs:
-            inputs.update(extra_inputs)
-        records.append(ExperimentRecord(command="profile", inputs=inputs,
-                                        seed=seed, metrics=metrics))
-    return records
+        profile.append(metrics)
+    return profile
 
 
 def layer_condition_profile(config: ModelConfig, spec: InitSpec,
                             batch_size: int, seed: int,
                             include_param_jacobian: bool = True,
-                            ) -> list[ExperimentRecord]:
+                            ) -> dict[str, list[dict]]:
     """Per-layer conditioning under skip+default / skipless+default /
-    skipless+proposed, one record per (regime, layer).
+    skipless+proposed: each regime's ``condition_profile_for_params``.
 
     All regimes see the same Gaussian input batch and the same master init
     seed.  kappa(J_l) routes through the regime's own chain factors: with
@@ -349,15 +281,11 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     """
     rng = np.random.default_rng(seed)
     batch = [rng.standard_normal((config.n, config.d)) for _ in range(batch_size)]
-    records = []
-    for regime in REGIMES:
-        use_skip = regime == "skip_default"
+    profiles = {}
+    for regime, use_skip in REGIMES.items():
         scheme = "proposed" if regime.endswith("proposed") else "default"
         cfg = replace(config, use_skip=use_skip)
         params = init_network(cfg, replace(spec, scheme=scheme, seed=spec.seed))
-        records.extend(condition_profile_for_params(
-            params, cfg, batch, seed,
-            include_param_jacobian=include_param_jacobian,
-            extra_inputs={"regime": regime, "alpha": spec.alpha,
-                          "beta": spec.beta, "c": spec.c}))
-    return records
+        profiles[regime] = condition_profile_for_params(
+            params, cfg, batch, include_param_jacobian=include_param_jacobian)
+    return profiles

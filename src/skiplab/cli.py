@@ -3,11 +3,14 @@
 One command per process; every run writes a single report file atomically
 (temp file + rename) and is byte-reproducible from its own input echo: the
 report carries the command, the complete resolved parameter set, the seed and
-the tool version.  Wall time is logged to stderr only, never into the report,
-so identical config + seed always produces identical bytes.
+the tool version.  Analysis and training return metrics only; each command
+here joins them to its input echo as an ``ExperimentRecord``, so every report
+row is built in this module.  Wall time is logged to stderr only, never into
+the report, so identical config + seed always produces identical bytes.
 
-Config resolution: an optional INI file (section name = command) provides
-values, command-line flags override them, schema defaults fill the rest.
+Config resolution: an optional INI file (section name = command, values read
+literally, with no ``%`` interpolation) provides values, command-line flags
+override them, schema defaults fill the rest.
 Unknown keys and malformed values are usage errors (exit 2); domain failures,
 out-of-range values among them, exit 1 without a report; success exits 0.
 ``jacobian-check`` additionally gates on its result: exit 0 only if every
@@ -35,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import (ExperimentRecord, concat_bound, gram_moments,
-                       layer_condition_profile, perturbation_split,
-                       prop1_trial, sample_low_coherence_pair,
+from .analysis import (REGIMES, concat_bound, gram_moments, layer_condition_profile,
+                       perturbation_split, prop1_trial, sample_low_coherence_pair,
                        softmax_derivative_beta_sweep)
 from .harness import TrainConfig, load_tensor_file, synth_task, train
 from .init import InitSpec, init_network, mimetic_qk, orthonormal_vo
@@ -50,6 +52,18 @@ FORMATS = ("csv", "records")
 
 class UsageError(ValueError):
     """Bad invocation: unknown command/key, type mismatch, missing value."""
+
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    """One emitted result row: the command, its complete input echo, the seed
+    and the measured metrics.  Metric values are floats (inf encodes the
+    INFINITE condition-number token)."""
+
+    command: str
+    inputs: dict
+    seed: int
+    metrics: dict
 
 
 @dataclass(frozen=True)
@@ -148,7 +162,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     values: dict = {}
     if known.config is not None:
-        ini = configparser.ConfigParser()
+        ini = configparser.ConfigParser(interpolation=None)
         try:
             with open(known.config, "r", encoding="utf-8") as f:
                 ini.read_file(f)
@@ -252,10 +266,16 @@ def serialize(records: list[ExperimentRecord], fmt: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename.  The report gets
+    the mode a plain open() would give it, 0o666 less the umask, not the
+    temp file's owner-only 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".skls-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -296,31 +316,20 @@ def _check_ranges(command: str, p: dict) -> None:
 
 
 def _cmd_prop1(p: dict, seed: int, echo: dict) -> tuple[list[ExperimentRecord], bool]:
-    records = []
-    kappas, deltas, gammas = [], [], []
-    for k in range(p["trials"]):
-        t = prop1_trial(p["n"], p["alpha"], p["beta"], p["temperature"], seed + k)
-        kappas.append(t.kappa)
-        deltas.append(t.delta)
-        gammas.append(t.gamma)
-        records.append(ExperimentRecord(
-            "prop1", dict(echo, trial=k), t.seed,
-            {"kappa": t.kappa, "delta": t.delta, "gamma": t.gamma}))
-    finite = [x for x in kappas if math.isfinite(x)]
-    records.append(ExperimentRecord(
-        "prop1", dict(echo, trial=-1), seed,
-        {"kappa": float(np.median(kappas)),
-         "delta": float(np.median(deltas)),
-         "gamma": float(np.median(gammas)),
-         "kappa_max_finite": max(finite) if finite else float("inf"),
-         "infinite_count": len(kappas) - len(finite)}))
+    trials = [prop1_trial(p["n"], p["alpha"], p["beta"], p["temperature"], seed + k)
+              for k in range(p["trials"])]
+    records = [ExperimentRecord("prop1", dict(echo, trial=k), seed + k, t)
+               for k, t in enumerate(trials)]
+    summary = {key: float(np.median([t[key] for t in trials])) for key in trials[0]}
+    finite = [t["kappa"] for t in trials if math.isfinite(t["kappa"])]
+    summary["kappa_max_finite"] = max(finite) if finite else float("inf")
+    summary["infinite_count"] = len(trials) - len(finite)
+    records.append(ExperimentRecord("prop1", dict(echo, trial=-1), seed, summary))
     return records, True
 
 
 def _cmd_moments(p: dict, seed: int, echo: dict):
-    rep = gram_moments(p["n"], p["d"], p["alpha"], p["beta"], p["trials"], seed)
-    metrics = dict(rep.empirical)
-    metrics.update({f"closed_{k}": v for k, v in rep.closed_form.items()})
+    metrics = gram_moments(p["n"], p["d"], p["alpha"], p["beta"], p["trials"], seed)
     return [ExperimentRecord("moments", echo, seed, metrics)], True
 
 
@@ -356,12 +365,8 @@ def _cmd_ksplit(p: dict, seed: int, echo: dict):
                         c=p["c"], seed=seed + k)
         params = init_network(cfg, spec)
         trace = network_forward(x, params, cfg)
-        r = perturbation_split(trace, 0)
-        records.append(ExperimentRecord(
-            "ksplit", dict(echo, trial=k, scale=scale), seed + k,
-            {"e_norm": r.e_norm, "b_sigma_min": r.b_sigma_min,
-             "b_sigma_max": r.b_sigma_max, "kappa_B": r.b_kappa,
-             "kappa_K": r.k_kappa, "dominance_ratio": r.dominance_ratio}))
+        records.append(ExperimentRecord("ksplit", dict(echo, trial=k, scale=scale),
+                                        seed + k, perturbation_split(trace, 0)))
     return records, True
 
 
@@ -372,13 +377,9 @@ def _cmd_concat_bound(p: dict, seed: int, echo: dict):
     for k in range(p["trials"]):
         a, b = sample_low_coherence_pair(p["rows"], p["cols"], rng)
         r = concat_bound(a, b)
-        if r.hypothesis_satisfied and r.bound < r.actual:
+        if r["hypothesis"] and r["bound"] < r["actual"]:
             violations += 1
-        records.append(ExperimentRecord(
-            "concat-bound", dict(echo, trial=k), seed,
-            {"rho": r.rho, "tau_bal": r.tau_bal, "s_max": r.s_max,
-             "s_min": r.s_min, "kappa_max": r.kappa_max, "bound": r.bound,
-             "actual": r.actual, "hypothesis": r.hypothesis_satisfied}))
+        records.append(ExperimentRecord("concat-bound", dict(echo, trial=k), seed, r))
     records.append(ExperimentRecord("concat-bound", dict(echo, trial=-1), seed,
                                     {"violations": violations}))
     return records, violations == 0
@@ -409,11 +410,15 @@ def _cmd_profile(p: dict, seed: int, echo: dict):
                       mlp_hidden=p["mlp_hidden"])
     spec = InitSpec(scheme="proposed", alpha=p["alpha"], beta=p["beta"],
                     c=p["c"], seed=seed)
-    records = layer_condition_profile(cfg, spec, p["batch_size"], seed,
-                                      include_param_jacobian=p["param_jacobian"])
-    out = [ExperimentRecord("profile", dict(echo, **r.inputs), r.seed, r.metrics)
-           for r in records]
-    return out, True
+    profiles = layer_condition_profile(cfg, spec, p["batch_size"], seed,
+                                       include_param_jacobian=p["param_jacobian"])
+    # mlp_hidden echoes the resolved width (4d for 0), in its flag's column.
+    records = [ExperimentRecord("profile", dict(
+        echo, mlp_hidden=cfg.mlp_hidden, layer=layer, h=cfg.h, L=cfg.L,
+        activation=cfg.activation, attention_scale=cfg.attention_scale,
+        use_skip=REGIMES[regime], regime=regime), seed, metrics)
+        for regime, profile in profiles.items() for layer, metrics in enumerate(profile)]
+    return records, True
 
 
 def _cmd_train(p: dict, seed: int, echo: dict):
@@ -439,10 +444,9 @@ def _cmd_train(p: dict, seed: int, echo: dict):
             records.append(ExperimentRecord("train", dict(echo, trial=step),
                                             seed, {"loss": loss}))
     for step, probe in log.probes:
-        for r in probe:
+        for layer, metrics in enumerate(probe):
             records.append(ExperimentRecord(
-                "train", dict(echo, trial=step, probe_layer=r.inputs["layer"]),
-                seed, r.metrics))
+                "train", dict(echo, trial=step, probe_layer=layer), seed, metrics))
     records.append(ExperimentRecord(
         "train", dict(echo, trial=-1), seed,
         {"steps_run": len(log.losses),

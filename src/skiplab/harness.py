@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import ExperimentRecord, condition_profile_for_params
+from .analysis import condition_profile_for_params
 from .init import TRUNC_BOUND, TRUNC_STD, InitSpec, init_network, truncated_normal
 from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
                     NetworkParams, network_backward, network_forward)
@@ -97,7 +97,7 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     losses: list[float] = field(default_factory=list)
-    probes: list[tuple[int, list[ExperimentRecord]]] = field(default_factory=list)
+    probes: list[tuple[int, list[dict]]] = field(default_factory=list)  # (step, metrics per layer)
     diverged: bool = False
     diverged_step: int | None = None
     # Where the forward went non-finite; None when the loss itself did.
@@ -351,8 +351,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
             if config.kappa_probe_every and step % config.kappa_probe_every == 0:
                 probe_input = np.random.default_rng(config.seed).standard_normal((mc.n, mc.d))
                 log.probes.append((step, condition_profile_for_params(
-                    params.network, mc, [probe_input], config.seed,
-                    include_param_jacobian=False)))
+                    params.network, mc, [probe_input], include_param_jacobian=False)))
             loss = loss_and_gradients(params, grads, dataset.tokens[idx],
                                       dataset.labels[idx].astype(int), mc)
         except DivergenceError as exc:

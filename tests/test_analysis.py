@@ -11,7 +11,7 @@ from skiplab.analysis import (concat_bound, condition_profile_for_params,
                               sample_low_coherence_pair,
                               softmax_derivative_beta_sweep)
 from skiplab.init import InitSpec, init_network
-from skiplab.jacobian import block_chain_jacobian
+from skiplab.jacobian import block_chain_jacobian, gauge_free_width
 from skiplab.linalg import condition_number, kron, spectral_norm
 from skiplab.model import ModelConfig, NetworkParams, network_forward, row_softmax
 
@@ -30,12 +30,12 @@ def softmax_of_scaled_identity_kappa(n: int, beta: float, temperature: float = 1
 
 
 def test_prop1_diagonal_dominant_anchor():
-    kappas = [prop1_trial(10, 0.1, 5.0, 1.0, seed).kappa for seed in range(100)]
+    kappas = [prop1_trial(10, 0.1, 5.0, 1.0, seed)["kappa"] for seed in range(100)]
     assert 1.0 <= np.median(kappas) <= 2.0
 
 
 def test_prop1_diffuse_anchor():
-    kappas = [prop1_trial(10, 0.1, 0.0, 1.0, seed).kappa for seed in range(100)]
+    kappas = [prop1_trial(10, 0.1, 0.0, 1.0, seed)["kappa"] for seed in range(100)]
     assert np.median(kappas) >= 100.0
 
 
@@ -51,32 +51,31 @@ def test_prop1_kappa_nonincreasing_in_beta():
     betas = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
     medians = []
     for beta in betas:
-        medians.append(np.median([prop1_trial(10, 0.1, beta, 1.0, s).kappa
+        medians.append(np.median([prop1_trial(10, 0.1, beta, 1.0, s)["kappa"]
                                   for s in range(100)]))
     assert all(b <= a * (1 + 1e-12) for a, b in zip(medians, medians[1:]))
 
 
 def test_prop1_trial_fields():
     t = prop1_trial(6, 0.5, 1.0, 2.0, seed=3)
-    assert t.kappa >= 1.0
-    assert t.delta >= 0.0
+    assert t["kappa"] >= 1.0
+    assert t["delta"] >= 0.0
     rng = np.random.default_rng(3)
     m = 0.5 * rng.standard_normal((6, 6)) + np.eye(6)
-    assert t.delta == pytest.approx(np.max(m.max(axis=1) - m.min(axis=1)))
+    assert t["delta"] == pytest.approx(np.max(m.max(axis=1) - m.min(axis=1)))
 
 
 def test_prop1_temperature_worsens_peaked_case():
     # Larger temperature flattens diagonally dominant logits toward uniform.
-    k_cold = np.median([prop1_trial(10, 0.1, 5.0, 1.0, s).kappa for s in range(50)])
-    k_hot = np.median([prop1_trial(10, 0.1, 5.0, 25.0, s).kappa for s in range(50)])
+    k_cold = np.median([prop1_trial(10, 0.1, 5.0, 1.0, s)["kappa"] for s in range(50)])
+    k_hot = np.median([prop1_trial(10, 0.1, 5.0, 25.0, s)["kappa"] for s in range(50)])
     assert k_hot > k_cold
 
 
 # --- A.2.2 moments ------------------------------------------------------------
 
 def test_gram_moments_closed_forms_small():
-    rep = gram_moments(n=4, d=16, alpha=2.0, beta=0.6, trials=20000, seed=0)
-    e = rep.empirical
+    e = gram_moments(n=4, d=16, alpha=2.0, beta=0.6, trials=20000, seed=0)
     d = 16
     assert e["mean_a_ii"] == pytest.approx(d, rel=0.02)
     assert e["var_a_ii"] == pytest.approx(2 * d, rel=0.08)
@@ -88,23 +87,23 @@ def test_gram_moments_closed_forms_small():
 
 def test_gram_moments_scaled_a_when_alpha_zero():
     rep = gram_moments(n=4, d=16, alpha=0.0, beta=0.5, trials=20000, seed=1)
-    assert rep.empirical["var_c_ij"] == pytest.approx(0.25 * 16, rel=0.08)
+    assert rep["var_c_ij"] == pytest.approx(0.25 * 16, rel=0.08)
 
 
 def test_gram_moments_b_offdiag_variance_is_d_not_one():
     """The exact off-diagonal variance of X Z X^T is d; the published ~1 is
     recorded alongside for comparison."""
     rep = gram_moments(n=4, d=64, alpha=2.0, beta=0.6, trials=20000, seed=2)
-    assert rep.empirical["var_b_ij"] == pytest.approx(64.0, rel=0.10)
-    assert rep.closed_form["var_b_ij"] == 1.0
-    assert rep.closed_form["var_b_ij_exact"] == 64.0
+    assert rep["var_b_ij"] == pytest.approx(64.0, rel=0.10)
+    assert rep["closed_var_b_ij"] == 1.0
+    assert rep["closed_var_b_ij_exact"] == 64.0
 
 
 def test_gram_moments_gamma_variance_matches_exact_form():
     d = 32
     rep = gram_moments(n=4, d=d, alpha=2.0, beta=0.6, trials=50000, seed=3)
-    exact = rep.closed_form["var_gamma_exact"]
-    assert rep.empirical["var_gamma"] == pytest.approx(exact, rel=0.10)
+    exact = rep["closed_var_gamma_exact"]
+    assert rep["var_gamma"] == pytest.approx(exact, rel=0.10)
 
 
 def test_gram_moments_validation():
@@ -149,8 +148,8 @@ def test_perturbation_split_saturated_attention():
     x = np.linalg.qr(rng.standard_normal((8, 4)))[0].T
     trace = network_forward(x, NetworkParams([bp]), cfg)
     r = perturbation_split(trace, 0)
-    assert r.e_norm < 1e-8
-    assert r.k_kappa == pytest.approx(r.b_kappa, rel=1e-6)
+    assert r["e_norm"] < 1e-8
+    assert r["kappa_K"] == pytest.approx(r["kappa_B"], rel=1e-6)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -174,7 +173,7 @@ def test_property_qr_reduced_e_norm_matches_dense(h, n, d_h, seed):
         blk = slice(i * d_h, (i + 1) * d_h)
         g = bp.W_V[:, blk] @ bp.W_O[blk, :]
         e += kron((x @ g).T, np.eye(n)) @ attention_input_jacobian(trace, 0, i)
-    assert perturbation_split(trace, 0).e_norm == pytest.approx(
+    assert perturbation_split(trace, 0)["e_norm"] == pytest.approx(
         spectral_norm(e), rel=1e-10)
 
 
@@ -185,7 +184,7 @@ def test_perturbation_dominance_at_wide_width():
     ratios = []
     for seed in range(3):
         trace, _, _ = _single_head_trace(4, 384, "proposed", seed, np.sqrt(384))
-        ratios.append(perturbation_split(trace, 0).dominance_ratio)
+        ratios.append(perturbation_split(trace, 0)["dominance_ratio"])
     assert all(r < 1.0 for r in ratios), ratios
 
 
@@ -193,8 +192,8 @@ def test_perturbation_proposed_beats_default_paired():
     for seed in range(10):
         tp, _, _ = _single_head_trace(16, 32, "proposed", seed, np.sqrt(32))
         td, _, _ = _single_head_trace(16, 32, "default", seed, np.sqrt(32))
-        kp = perturbation_split(tp, 0).k_kappa
-        kd = perturbation_split(td, 0).k_kappa
+        kp = perturbation_split(tp, 0)["kappa_K"]
+        kd = perturbation_split(td, 0)["kappa_K"]
         assert kp < kd
 
 
@@ -207,7 +206,7 @@ def test_perturbation_multihead_sums_to_full_jacobian():
     trace = network_forward(x, params, cfg)
     r = perturbation_split(trace, 0)  # head=None sums heads
     k = sa_input_jacobian(trace, 0)
-    assert r.k_kappa == pytest.approx(condition_number(k), rel=1e-9)
+    assert r["kappa_K"] == pytest.approx(condition_number(k), rel=1e-9)
 
 
 # --- A.2.5 concatenation bound -------------------------------------------------
@@ -215,19 +214,19 @@ def test_perturbation_multihead_sums_to_full_jacobian():
 def test_concat_bound_orthonormal_orthogonal_blocks():
     q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((16, 8)))
     r = concat_bound(q[:, :4], q[:, 4:])
-    assert r.rho < 1e-12
-    assert r.hypothesis_satisfied
-    assert r.tau_bal == pytest.approx(1.0)
-    assert r.bound == pytest.approx(1.0, abs=1e-9)
-    assert r.actual == pytest.approx(1.0, abs=1e-9)
+    assert r["rho"] < 1e-12
+    assert r["hypothesis"]
+    assert r["tau_bal"] == pytest.approx(1.0)
+    assert r["bound"] == pytest.approx(1.0, abs=1e-9)
+    assert r["actual"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_concat_bound_degenerate_equal_blocks():
     a = np.random.default_rng(8).standard_normal((12, 4))
     r = concat_bound(a, a)
-    assert not r.hypothesis_satisfied
-    assert np.isinf(r.bound)
-    assert np.isinf(r.actual)  # duplicated columns are exactly dependent
+    assert not r["hypothesis"]
+    assert np.isinf(r["bound"])
+    assert np.isinf(r["actual"])  # duplicated columns are exactly dependent
 
 
 def test_concat_bound_row_mismatch():
@@ -240,8 +239,8 @@ def test_concat_bound_randomized_never_violated():
     for _ in range(300):
         a, b = sample_low_coherence_pair(32, 8, rng)
         r = concat_bound(a, b)
-        assert r.hypothesis_satisfied
-        assert r.bound >= r.actual
+        assert r["hypothesis"]
+        assert r["bound"] >= r["actual"]
 
 
 def test_sample_low_coherence_pair_shape_guard():
@@ -263,16 +262,13 @@ def test_beta_sweep_fixed_draw_and_length():
 def test_profile_emits_all_regimes_and_layers():
     cfg = ModelConfig(L=2, n=4, d=8, h=1, attention_scale=2.0, use_skip=False,
                       use_mlp=True, mlp_hidden=8)
-    records = layer_condition_profile(cfg, InitSpec(seed=12), batch_size=1,
-                                      seed=13, include_param_jacobian=False)
-    regimes = {(r.inputs["regime"], r.inputs["layer"]) for r in records}
-    assert len(records) == 6
-    assert regimes == {(reg, layer) for reg in
-                       ("skip_default", "skipless_default", "skipless_proposed")
-                       for layer in (0, 1)}
-    for r in records:
-        assert {"kappa_K", "kappa_K_plus_I", "kappa_Khat"} <= set(r.metrics)
-        assert r.inputs["use_skip"] == (r.inputs["regime"] == "skip_default")
+    profiles = layer_condition_profile(cfg, InitSpec(seed=12), batch_size=1,
+                                       seed=13, include_param_jacobian=False)
+    assert list(profiles) == ["skip_default", "skipless_default", "skipless_proposed"]
+    for profile in profiles.values():
+        assert len(profile) == 2
+        for metrics in profile:
+            assert list(metrics) == ["kappa_K", "kappa_K_plus_I", "kappa_Khat"]
 
 
 def test_profile_same_seed_is_deterministic():
@@ -281,7 +277,7 @@ def test_profile_same_seed_is_deterministic():
                                 include_param_jacobian=False)
     b = layer_condition_profile(cfg, InitSpec(seed=14), 1, 15,
                                 include_param_jacobian=False)
-    assert [r.metrics for r in a] == [r.metrics for r in b]
+    assert a == b
 
 
 def test_profile_sa_block_is_the_bottleneck_skipless_default():
@@ -293,9 +289,8 @@ def test_profile_sa_block_is_the_bottleneck_skipless_default():
     for seed in range(5):
         recs = layer_condition_profile(cfg, InitSpec(seed=seed), 1, 100 + seed,
                                        include_param_jacobian=False)
-        for r in recs:
-            if r.inputs["regime"] == "skipless_default":
-                ratios.append(r.metrics["kappa_K"] / r.metrics["kappa_Khat"])
+        for metrics in recs["skipless_default"]:
+            ratios.append(metrics["kappa_K"] / metrics["kappa_Khat"])
     assert np.median(ratios) > 100.0
 
 
@@ -307,7 +302,7 @@ def test_profile_param_jacobian_proposed_below_default():
                       use_mlp=True, mlp_hidden=32)
     for seed in range(10):
         recs = layer_condition_profile(cfg, InitSpec(seed=seed), 2, 200 + seed)
-        by_regime = {r.inputs["regime"]: r.metrics["kappa_J"] for r in recs}
+        by_regime = {regime: profile[0]["kappa_J"] for regime, profile in recs.items()}
         assert np.isfinite(by_regime["skipless_proposed"])
         assert by_regime["skipless_proposed"] < by_regime["skipless_default"]
 
@@ -317,44 +312,40 @@ def test_condition_profile_for_params_pure():
     params = init_network(cfg, InitSpec(seed=16))
     snapshot = [b.W_Q.copy() for b in params.blocks]
     batch = [np.random.default_rng(17).standard_normal((4, 8))]
-    condition_profile_for_params(params, cfg, batch, 18,
-                                 include_param_jacobian=False)
+    condition_profile_for_params(params, cfg, batch, include_param_jacobian=False)
     for before, block in zip(snapshot, params.blocks):
         assert np.array_equal(before, block.W_Q)
 
 
 def test_profile_param_jacobian_builds_no_kron(monkeypatch):
     """kappa(J) applies each layer's parameter Jacobian through the vec
-    identity: no linalg.kron call happens inside sa_param_jacobian (K's own
-    Kronecker terms still call it)."""
+    identity: a profile with kappa(J) makes as many linalg.kron calls as one
+    without it, all of them for K's own Kronecker terms."""
     import skiplab.jacobian
     import skiplab.linalg
-    inside, calls = [], []
-    kron, param_jacobian = skiplab.linalg.kron, skiplab.jacobian.sa_param_jacobian
+    calls = []
+    kron = skiplab.linalg.kron
 
     def counted_kron(a, b):
-        calls.append(bool(inside))
+        calls.append(a.shape)
         return kron(a, b)
-
-    def flagged(*args, **kwargs):
-        inside.append(True)
-        try:
-            return param_jacobian(*args, **kwargs)
-        finally:
-            inside.pop()
 
     monkeypatch.setattr(skiplab.linalg, "kron", counted_kron)
     monkeypatch.setattr(skiplab.jacobian, "kron", counted_kron)
-    monkeypatch.setattr(skiplab.jacobian, "sa_param_jacobian", flagged)
     cfg = ModelConfig(L=2, n=3, d=4, h=2, attention_scale=1.0, use_skip=False,
                       mlp_hidden=4)
     params = init_network(cfg, InitSpec(scheme="proposed", seed=0))
     rng = np.random.default_rng(1)
-    records = condition_profile_for_params(
-        params, cfg, [rng.standard_normal((3, 4)) for _ in range(2)], seed=0,
-        include_param_jacobian=True)
-    assert all("kappa_J" in r.metrics for r in records)
-    assert calls and not any(calls)
+    batch = [rng.standard_normal((3, 4)) for _ in range(2)]
+    assert len(batch) * cfg.n * cfg.d <= gauge_free_width(cfg)  # kappa(J) is computed
+    counts = []
+    for include in (True, False):
+        calls.clear()
+        profile = condition_profile_for_params(params, cfg, batch,
+                                               include_param_jacobian=include)
+        assert all(("kappa_J" in metrics) == include for metrics in profile)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_profile_param_jacobian_past_gauge_free_width_is_infinite(monkeypatch):
@@ -374,10 +365,11 @@ def test_profile_param_jacobian_past_gauge_free_width_is_infinite(monkeypatch):
     cfg = ModelConfig(L=2, n=8, d=8, h=1, attention_scale=4.0, mlp_hidden=16)
     spec = InitSpec(seed=5)
     monkeypatch.setattr(skiplab.linalg, "singular_values", counted)
-    records = layer_condition_profile(cfg, spec, 3, 5)
+    profiles = layer_condition_profile(cfg, spec, 3, 5)
     monkeypatch.undo()
+    records = [metrics for profile in profiles.values() for metrics in profile]
     assert len(records) == 6
-    assert all(r.metrics["kappa_J"] == np.inf for r in records)
+    assert all(metrics["kappa_J"] == np.inf for metrics in records)
     assert len(shapes) == 3 * len(records)
     assert all(cols <= cfg.n * cfg.d for _, cols in shapes)
     # The full J of each regime, from layer_condition_profile's batch and weights.
@@ -406,10 +398,10 @@ def test_profile_kappa_j_matches_full_j_at_gauge_free_width(n, d, h, batch_size,
     rng = np.random.default_rng(9)
     batch = [rng.standard_normal((n, d)) for _ in range(batch_size)]
     traces = [network_forward(x, params, cfg) for x in batch]
-    for r in condition_profile_for_params(params, cfg, batch, seed=0):
-        j = np.vstack([block_chain_jacobian(t, r.inputs["layer"]) for t in traces])
+    for layer, metrics in enumerate(condition_profile_for_params(params, cfg, batch)):
+        j = np.vstack([block_chain_jacobian(t, layer) for t in traces])
         assert j.shape[0] == 4 * d * d - 2 * d * d // h
-        want, got = condition_number(j), r.metrics["kappa_J"]
+        want, got = condition_number(j), metrics["kappa_J"]
         assert np.isinf(got) == np.isinf(want)
         if np.isfinite(want):
             assert abs(got - want) <= 1e-13 * want * want

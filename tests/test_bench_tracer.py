@@ -80,15 +80,14 @@ def test_traced_profile_traces_each_sample_once():
     batch = [rng.standard_normal((mc.n, mc.d)) for _ in range(batch_size)]
     tracer = load_tracer()
     with tracer.Tracer() as t:
-        records = condition_profile_for_params(params, mc, batch, seed=0)
+        profile = condition_profile_for_params(params, mc, batch)
     table = t.span_table()
-    assert [r.inputs["layer"] for r in records] == list(range(layers))
+    assert len(profile) == layers
     assert table["model.network_forward"]["calls"] == batch_size
     assert table["jacobian.sa_input_jacobian"]["calls"] == layers
     assert table.get("jacobian.mlp_input_jacobian", {"calls": 0})["calls"] == 0
     with tracer.Tracer() as t:
-        condition_profile_for_params(params, mc, batch, seed=0,
-                                     include_param_jacobian=False)
+        condition_profile_for_params(params, mc, batch, include_param_jacobian=False)
     assert t.span_table()["model.network_forward"]["calls"] == 1
 
 

@@ -1,12 +1,13 @@
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from skiplab.cli import (_COMMANDS, SCHEMAS, RunConfig, UsageError, main,
-                         parse_config, run, serialize, write_atomic)
-from skiplab.analysis import ExperimentRecord
+from skiplab.cli import (_COMMANDS, SCHEMAS, ExperimentRecord, RunConfig, UsageError,
+                         main, parse_config, run, serialize, write_atomic)
 
 
 # --- config resolution ---------------------------------------------------------
@@ -60,6 +61,15 @@ def test_parse_config_file_with_flag_override(tmp_path):
     assert cfg.parameters["n"] == 12
     assert cfg.parameters["alpha"] == 0.9  # flag wins
     assert cfg.parameters["beta"] == 2.0
+
+
+def test_config_file_values_are_read_literally(tmp_path):
+    """A '%' in an INI value is text, not interpolation syntax."""
+    out = tmp_path / "100%.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[prop1]\nout = {out}\ntrials = 2\n", encoding="utf-8")
+    assert main(["prop1", "--config", str(ini)]) == 0
+    assert out.read_text().startswith("command,")
 
 
 def test_parse_config_file_unknown_key(tmp_path):
@@ -127,6 +137,20 @@ def test_write_atomic_no_partial_files(tmp_path):
     write_atomic(str(target), "hello\n")
     assert target.read_text() == "hello\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_write_atomic_mode_follows_umask(tmp_path, umask, mode):
+    """A report gets the mode a plain open() would give it, not the temp
+    file's owner-only 0o600."""
+    target = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        write_atomic(str(target), "hello\n")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == mode
 
 
 # --- command execution ---------------------------------------------------------
@@ -197,6 +221,23 @@ def test_profile_command(tmp_path):
     rows = [json.loads(line) for line in out.read_text().strip().split("\n")]
     assert {r["regime"] for r in rows} == {"skip_default", "skipless_default",
                                            "skipless_proposed"}
+    assert all(r["use_skip"] == (r["regime"] == "skip_default") for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "records"])
+def test_profile_echoes_resolved_mlp_hidden(tmp_path, fmt):
+    """--mlp-hidden 0 means 4d: every row echoes the width the profile used."""
+    out = tmp_path / "p.out"
+    assert main(["profile", "--n", "4", "--d", "8", "--layers", "2",
+                 "--mlp-hidden", "0", "--batch-size", "1", "--format", fmt,
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["mlp_hidden"] for r in rows] == ["32"] * 6
+    else:
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert [r["mlp_hidden"] for r in rows] == [32] * 6
 
 
 def test_beta_sweep_command(tmp_path):
@@ -265,6 +306,40 @@ _SMALL = {
     "train": ["--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden",
               "8", "--samples", "8", "--steps", "4", "--batch-size", "4"],
     "init-report": ["--d", "8", "--trials", "1"],
+}
+
+
+# Each command's CSV header at _SMALL: its echo, then its metrics, in order.
+_HEADERS = {
+    "prop1": "command,seed,n,alpha,beta,temperature,trials,threads,trial,kappa,delta,gamma,"
+             "version,kappa_max_finite,infinite_count",
+    "moments": "command,seed,n,d,alpha,beta,trials,threads,mean_a_ii,var_a_ii,mean_a_ij,"
+               "var_a_ij,mean_b_ii,var_b_ii,mean_b_ij,var_b_ij,mean_c_ii,var_c_ii,mean_c_ij,"
+               "var_c_ij,mean_gamma,var_gamma,count_diag,count_off,se_mean_gamma,"
+               "closed_mean_a_ii,closed_var_a_ii,closed_mean_a_ij,closed_var_a_ij,"
+               "closed_mean_b_ii,closed_var_b_ii,closed_var_b_ij,closed_var_b_ij_exact,"
+               "closed_mean_c_ii,closed_var_c_ii,closed_var_c_ij,closed_var_c_ij_exact,"
+               "closed_mean_gamma,closed_var_gamma,closed_var_gamma_exact,version",
+    "jacobian-check": "command,seed,n,d,heads,layers,seeds,tolerance,scale,threads,trial,"
+                      "softmax_jacobian,logits_input_jacobian,attention_input_jacobian,"
+                      "sa_input_jacobian,mlp_input_jacobian,sa_param_jacobian,"
+                      "block_chain_jacobian_skipless,block_chain_jacobian_skip,passed,"
+                      "version,all_passed,max_error",
+    "ksplit": "command,seed,n,d,heads,scheme,alpha,beta,c,scale,trials,threads,trial,"
+              "e_norm,b_sigma_min,b_sigma_max,kappa_B,kappa_K,dominance_ratio,version",
+    "concat-bound": "command,seed,rows,cols,trials,threads,trial,rho,tau_bal,s_max,s_min,"
+                    "kappa_max,bound,actual,hypothesis,version,violations",
+    "beta-sweep": "command,seed,n,d,alpha,betas,trials,temperature,threads,trial,"
+                  "norm_beta_0,norm_beta_2,version",
+    "profile": "command,seed,n,d,heads,layers,mlp_hidden,batch_size,alpha,beta,c,scale,"
+               "param_jacobian,threads,layer,h,L,activation,attention_scale,use_skip,"
+               "regime,kappa_K,kappa_K_plus_I,kappa_Khat,version",
+    "train": "command,seed,n,d,heads,layers,mlp_hidden,classes,samples,noise,data,skip,"
+             "scheme,alpha,beta,c,scale,optimizer,lr,weight_decay,steps,batch_size,"
+             "log_every,kappa_probe_every,threads,trial,loss,version,steps_run,final_loss,"
+             "diverged,diverged_step,digest",
+    "init-report": "command,seed,d,heads,alpha,beta,c,trials,tokens,threads,trial,kappa_vo,"
+                   "sv_max,sv_min,c_squared,qk_diag_mean,qk_offdiag_var,median_margin,version",
 }
 
 
@@ -353,7 +428,8 @@ def test_init_report_command(tmp_path):
 
 
 def test_every_command_rerun_is_byte_identical(tmp_path):
-    """Determinism across the whole command surface at small sizes."""
+    """Determinism across the whole command surface at small sizes, with
+    each CSV report's columns where they have always been."""
     for fmt in ("csv", "records"):
         for command, extra in _SMALL.items():
             a = tmp_path / f"{command}-{fmt}-a.out"
@@ -362,6 +438,8 @@ def test_every_command_rerun_is_byte_identical(tmp_path):
             assert main(base + ["--out", str(a)]) == 0, command
             assert main(base + ["--out", str(b)]) == 0, command
             assert a.read_bytes() == b.read_bytes(), (command, fmt)
+            if fmt == "csv":
+                assert a.read_text().split("\n")[0] == _HEADERS[command]
 
 
 def test_threads_env_echoed_and_validated(tmp_path, monkeypatch):

@@ -384,8 +384,8 @@ def test_train_probe_does_not_mutate_parameters():
     assert b.probes and b.probes[0][0] == 0
     assert a.losses == b.losses
     assert a.final_digest == b.final_digest
-    for _, records in b.probes:
-        assert all("kappa_K" in r.metrics for r in records)
+    for _, profile in b.probes:
+        assert all("kappa_K" in metrics for metrics in profile)
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("kappa_probe_every", -1)])
