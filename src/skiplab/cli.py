@@ -14,7 +14,9 @@ override them, schema defaults fill the rest.
 Unknown keys and malformed values are usage errors (exit 2); domain failures,
 out-of-range values among them, exit 1 without a report; success exits 0.
 ``jacobian-check`` additionally gates on its result: exit 0 only if every
-finite-difference check passes.
+finite-difference check passes.  ``init-report`` checks the proposed
+initialization's W_V W_O and full-width (d_h = d) W_Q W_K^T, neither of which
+depends on a head count, so it takes none.
 
 SKLS_THREADS (positive integer, default 1) is validated and echoed into every
 record as ``threads`` but never applied: BLAS threading follows
@@ -110,7 +112,7 @@ SCHEMAS: dict[str, dict] = {
               "lr": (float, 1e-3), "weight_decay": (float, 0.0),
               "steps": (int, 2000), "batch_size": (int, 8),
               "log_every": (int, 1), "kappa_probe_every": (int, 0)},
-    "init-report": {"d": (int, 64), "heads": (int, 1), "alpha": (float, 2.0),
+    "init-report": {"d": (int, 64), "alpha": (float, 2.0),
                     "beta": (float, 0.6), "c": (float, 3.0),
                     "trials": (int, 10), "tokens": (int, 16)},
 }
@@ -354,9 +356,9 @@ def _cmd_jacobian_check(p: dict, seed: int, echo: dict):
 
 
 def _cmd_ksplit(p: dict, seed: int, echo: dict):
-    scale = _auto_scale(p["scale"], p["d"], p["heads"])
     cfg = ModelConfig(L=1, n=p["n"], d=p["d"], h=p["heads"],
-                      attention_scale=scale, use_skip=False, use_mlp=False)
+                      attention_scale=_auto_scale(p["scale"], p["d"], p["heads"]),
+                      use_skip=False, use_mlp=False)
     records = []
     for k in range(p["trials"]):
         rng = np.random.default_rng(seed + k)
@@ -365,8 +367,9 @@ def _cmd_ksplit(p: dict, seed: int, echo: dict):
                         c=p["c"], seed=seed + k)
         params = init_network(cfg, spec)
         trace = network_forward(x, params, cfg)
-        records.append(ExperimentRecord("ksplit", dict(echo, trial=k, scale=scale),
-                                        seed + k, perturbation_split(trace, 0)))
+        records.append(ExperimentRecord(
+            "ksplit", dict(echo, trial=k, attention_scale=cfg.attention_scale),
+            seed + k, perturbation_split(trace, 0)))
     return records, True
 
 
@@ -458,11 +461,11 @@ def _cmd_train(p: dict, seed: int, echo: dict):
 
 
 def _cmd_init_report(p: dict, seed: int, echo: dict):
-    d, h = p["d"], p["heads"]
+    d = p["d"]
     records = []
     for k in range(p["trials"]):
         trial_seed = seed + k
-        w_v, w_o = orthonormal_vo(d, h, p["c"], trial_seed)
+        w_v, w_o = orthonormal_vo(d, p["c"], trial_seed)
         sv = singular_values(w_v @ w_o)
         w_q, w_k = mimetic_qk(d, d, p["alpha"], p["beta"], trial_seed)
         prod = w_q @ w_k.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import BlockParams, ModelConfig, NetworkParams
+from .model import BlockParams, ModelConfig, NetworkParams, split_heads
 
 # (alpha, beta, c) presets: "supervised" is the headline setting, "selfsup"
 # the alternative used for the smaller self-supervised backbone.
@@ -64,17 +64,14 @@ def truncated_normal(rows: int, cols: int, std: float, bound: float, seed) -> np
     return std * out
 
 
-def orthonormal_vo(d: int, h: int, c: float, seed) -> tuple[np.ndarray, np.ndarray]:
+def orthonormal_vo(d: int, c: float, seed) -> tuple[np.ndarray, np.ndarray]:
     """Scaled-orthonormal value/output pair.
 
     One Gaussian d x d matrix is decomposed as Q = U S V^T and the factors are
-    reused: W_V = c*U, W_O = c*V^T.  Heads take contiguous column-blocks of
-    W_V and the matching row-blocks of W_O, so the head-summed product is
-    exactly c^2 * U V^T regardless of h: every singular value of W_V W_O is
-    c^2 and its condition number is 1.
+    reused: W_V = c*U, W_O = c*V^T.  The head-summed product
+    sum_i W_V,i W_O,i is W_V W_O = c^2 * U V^T whatever the head count: every
+    singular value is c^2 and its condition number is 1.
     """
-    if d % h != 0:
-        raise ValueError(f"d={d} not divisible by h={h}")
     rng = _as_rng(seed)
     q = rng.standard_normal((d, d))
     u, _, vt = np.linalg.svd(q)
@@ -171,15 +168,15 @@ def _default_block(config: ModelConfig, streams) -> BlockParams:
 
 
 def _proposed_block(config: ModelConfig, spec: InitSpec, streams) -> BlockParams:
-    d, d_h = config.d, config.d_h
-    w_q = np.empty((d, d))
-    w_k = np.empty((d, d))
-    qk_streams = streams[0].spawn(config.h)
-    for i, s in enumerate(qk_streams):
-        cols = slice(i * d_h, (i + 1) * d_h)
-        w_q[:, cols], w_k[:, cols] = mimetic_qk(
-            d, d_h, spec.alpha, spec.beta, np.random.default_rng(s))
-    w_v, w_o = orthonormal_vo(d, config.h, spec.c, np.random.default_rng(streams[1]))
+    d, h = config.d, config.h
+    w_q, w_k = np.empty((d, d)), np.empty((d, d))
+    # Written through views into C-order buffers: mimetic_qk's W_K is
+    # column-major, and an operand's memory order picks the BLAS kernel, so
+    # the reports' bytes depend on it.  Each head has its own stream.
+    for i, s in enumerate(streams[0].spawn(h)):
+        split_heads(w_q, h)[i], split_heads(w_k, h)[i] = mimetic_qk(
+            d, config.d_h, spec.alpha, spec.beta, np.random.default_rng(s))
+    w_v, w_o = orthonormal_vo(d, spec.c, np.random.default_rng(streams[1]))
     bp = BlockParams(W_Q=w_q, W_K=w_k, W_V=w_v, W_O=w_o)
     _attach_mlp(bp, config, streams, orthogonal=True)
     return bp

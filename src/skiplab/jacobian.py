@@ -14,9 +14,11 @@ blocks are written straight to the positions the commutation permutation of
 K_{n,n} gives, so no dense K_{n,n} is built; left factors (M kron I_n) are
 applied by reshape (``linalg.kron_eye_apply``).  Multi-head attention sums
 the per-head terms, which is the unique extension consistent with the
-head-summed forward pass; the finite-difference oracle arbitrates.  The MLP
-acts on each token separately, so its input Jacobian K-hat is block-diagonal
-by token, with blocks W2^T diag(act'(pre_a)) W1^T (:func:`mlp_token_blocks`).
+head-summed forward pass; the finite-difference oracle arbitrates.  Head i's
+factors are read through ``model.split_heads``, which fixes the head layout.
+The MLP acts on each token separately, so its input Jacobian K-hat is
+block-diagonal by token, with blocks W2^T diag(act'(pre_a)) W1^T
+(:func:`mlp_token_blocks`).
 The chain parameter Jacobian J of a layer is the trainer's backward
 (``model.network_backward``) on the nd unit cotangents unvec(I_nd), the
 layer's attention pairs contracted per cotangent: no nd x nd downstream
@@ -48,7 +50,7 @@ import numpy as np
 from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply, unvec, vec
 from .model import (BlockParams, ForwardTrace, ModelConfig, NetworkParams,
                     activation_derivative, attention_backward, network_backward,
-                    network_forward)
+                    network_forward, split_heads)
 
 # Dense nd x nd materialization cap.
 MAX_ND = 2048
@@ -115,8 +117,8 @@ def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> np.n
     cfg = trace.config
     bt = trace.blocks[layer]
     bp = trace.params.blocks[layer]
-    blk = bp.head_slice(head, cfg.d_h)
-    p = bp.W_Q[:, blk] @ bp.W_K[:, blk].T
+    w_q, w_k = (split_heads(w, cfg.h)[head] for w in (bp.W_Q, bp.W_K))
+    p = w_q @ w_k.T
     ja = softmax_jacobian(bt.sa.attention[head])
     jm = logits_input_jacobian(bt.x_in, p, cfg.attention_scale)
     return ja @ jm
@@ -131,15 +133,12 @@ def sa_split(trace: ForwardTrace, layer: int,
     _check_nd(cfg.n * cfg.d)
     bt = trace.blocks[layer]
     bp = trace.params.blocks[layer]
+    g = split_heads(bp.W_V, cfg.h) @ split_heads(bp.W_O.T, cfg.h).swapaxes(-1, -2)
     b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
-    m, a_prime = [], []
-    for i in range(cfg.h):
-        blk = bp.head_slice(i, cfg.d_h)
-        g = bp.W_V[:, blk] @ bp.W_O[blk, :]
-        b += kron(g.T, bt.sa.attention[i])
-        m.append((bt.x_in @ g).T)
-        a_prime.append(attention_input_jacobian(trace, layer, i))
-    return b, np.hstack(m), np.vstack(a_prime)
+    for g_i, a_i in zip(g, bt.sa.attention):
+        b += kron(g_i.T, a_i)
+    a_prime = [attention_input_jacobian(trace, layer, i) for i in range(cfg.h)]
+    return b, np.hstack((bt.x_in @ g).swapaxes(-1, -2)), np.vstack(a_prime)
 
 
 def sa_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
@@ -181,27 +180,25 @@ def _attention_rows(pairs: dict) -> np.ndarray:
                            for x, dy in (pairs[w] for w in ATTENTION_WEIGHTS)], axis=1)
 
 
-def _cotangent_stack(trace: ForwardTrace, left: np.ndarray | None = None) -> np.ndarray:
-    """The rows of ``left`` (I_nd when None) as an (m, n, d) cotangent stack."""
+def _cotangent_stack(trace: ForwardTrace) -> np.ndarray:
+    """The nd unit cotangents unvec(I_nd), an (nd, n, d) stack."""
     n, d = trace.config.n, trace.config.d
     _check_nd(n * d)
-    return unvec(np.eye(n * d) if left is None else left, n, d)
+    return unvec(np.eye(n * d), n, d)
 
 
-def sa_param_jacobian(trace: ForwardTrace, layer: int,
-                      left: np.ndarray | None = None) -> np.ndarray:
-    """``left`` @ P, where P = d vec(attention-stage output) / d theta is the
-    nd x 4d^2 Jacobian w.r.t. the layer's flattened (W_Q, W_K, W_V, W_O); P
-    itself when ``left`` is None.  Columns follow
+def sa_param_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
+    """P = d vec(attention-stage output) / d theta, the nd x 4d^2 Jacobian
+    w.r.t. the layer's flattened (W_Q, W_K, W_V, W_O).  Columns follow
     :func:`flatten_attention_params`: each tensor column-major, heads in order
     within each tensor.
 
-    P is never built: row r of ``left`` is read as vec(R) for an n x d R, and
-    row r of the product is vec of the gradient of <R, output>, from
-    ``model.attention_backward`` run on the stack of every R.
+    Row r of P is vec of the gradient of <E_r, output> for the unit
+    cotangent E_r = unvec(e_r), from ``model.attention_backward`` run on the
+    stack of every E_r.
     """
     pairs = attention_backward(trace.blocks[layer], trace.params.blocks[layer],
-                               trace.config, _cotangent_stack(trace, left))
+                               trace.config, _cotangent_stack(trace))
     return _attention_rows(pairs)
 
 
@@ -224,11 +221,6 @@ def gauge_free_width(config: ModelConfig) -> int:
     return 4 * config.d * config.d - 2 * config.d * config.d_h
 
 
-def _heads(t: np.ndarray, h: int) -> np.ndarray:
-    """(..., r, d) -> (h, ..., r, d_h): head i's column block first."""
-    return np.moveaxis(t.reshape(*t.shape[:-1], h, -1), -2, 0)
-
-
 def _givens(s_a: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s_a, s_b) / hypot(s_a, s_b), 0 where the hypot is 0: c_a a + c_b b is
     the coordinate of the pair (a, b) orthogonal to the gauge direction
@@ -239,20 +231,21 @@ def _givens(s_a: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauge_frames(bp: BlockParams, h: int) -> tuple:
-    """Per head, stacked over heads: the (input, cotangent) rotations of each
-    weight's factor pair and the Givens weights of the two merges, from the
-    full SVDs W_Q,i = U_Q S_Q R_Q^T, W_K,i = U_K S_K R_K^T and
+    """Per head, stacked over heads on axis -3: the (input, cotangent)
+    rotations of each weight's factor pair and the Givens weights of the two
+    merges, from the full SVDs W_Q,i = U_Q S_Q R_Q^T, W_K,i = U_K S_K R_K^T and
     W_V,i = U_V S_V R_V^T (d x d_h), and W_O,i = P_O S_O U_O^T (d_h x d)."""
+    heads = [split_heads(w, h) for w in (bp.W_Q, bp.W_K, bp.W_V)]
+    heads.append(split_heads(bp.W_O.T, h).swapaxes(-1, -2))
     (u_q, s_q, rt_q), (u_k, s_k, rt_k), (u_v, s_v, rt_v), (p_o, s_o, ut_o) = (
-        np.linalg.svd(w) for w in (_heads(bp.W_Q, h), _heads(bp.W_K, h), _heads(bp.W_V, h),
-                                   bp.W_O.reshape(h, -1, bp.W_O.shape[1])))
+        np.linalg.svd(w) for w in heads)
     # Contiguous factors keep the broadcast matmuls on BLAS.
     r_q, r_k, r_v, u_o = (np.ascontiguousarray(m.swapaxes(-1, -2))
                           for m in (rt_q, rt_k, rt_v, ut_o))
     rotations = (u_q, r_k), (u_k, r_q), (u_v, p_o), (r_v, u_o)
     # sigma[a] down the rows, sigma[b] across the columns of a pair block.
-    merges = (_givens(s_k[:, None, None, :], s_q[:, None, :, None]),
-              _givens(s_o[:, None, None, :], s_v[:, None, :, None]))
+    merges = (_givens(s_k[:, None, :], s_q[:, :, None]),
+              _givens(s_o[:, None, :], s_v[:, :, None]))
     return rotations, merges
 
 
@@ -272,20 +265,21 @@ def _gauge_free_rows(pairs: dict, frames: tuple, h: int) -> np.ndarray:
     (x, dq), (_, dk), (_, dv), (o, dout) = (pairs[w] for w in ATTENTION_WEIGHTS)
 
     def rotated(inp, right, cot, left):
-        # (inp @ right)^T (cot @ left), per head and cotangent: (h, m, ., .).
-        return (inp @ right).swapaxes(-1, -2)[:, None] @ (cot @ left[:, None])
+        # (inp @ right)^T (cot @ left), per cotangent and head: (m, h, ., .).
+        return (inp @ right).swapaxes(-1, -2) @ (cot @ left)
 
-    q = rotated(x, u_q, _heads(dq, h), r_k)
+    q = rotated(x, u_q, split_heads(dq, h), r_k)
     # K~ transposed, so that each pair block is laid out like its partner's.
-    k_t = (_heads(dk, h) @ r_q[:, None]).swapaxes(-1, -2) @ (x @ u_k)[:, None]
-    v = rotated(x, u_v, _heads(dv, h), p_o)
-    o = rotated(_heads(o, h), r_v, dout, u_o)
+    k_t = (split_heads(dk, h) @ r_q).swapaxes(-1, -2) @ (x @ u_k)
+    v = rotated(x, u_v, split_heads(dv, h), p_o)
+    # Every head's W_O gradient reads the whole cotangent.
+    o = rotated(split_heads(o, h), r_v, dout[:, None], u_o)
     d_h = c_q.shape[-1]
     pieces = (c_q * q[..., :d_h, :] + c_k * k_t[..., :d_h],
               q[..., d_h:, :], k_t[..., d_h:],
               c_v * v[..., :d_h, :] + c_o * o[..., :d_h],
               v[..., d_h:, :], o[..., d_h:])
-    return np.concatenate([t.swapaxes(0, 1).reshape(len(dq), -1) for t in pieces], axis=1)
+    return np.concatenate([t.reshape(len(dq), -1) for t in pieces], axis=1)
 
 
 def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.ndarray]]:
@@ -422,7 +416,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
 
     # Attention-matrix derivative of head 0, layer 0.
     bp = params.blocks[0]
-    p0 = bp.W_Q[:, :cfg.d_h] @ bp.W_K[:, :cfg.d_h].T
+    p0 = split_heads(bp.W_Q, h)[0] @ split_heads(bp.W_K, h)[0].T
 
     def head_attention(v):
         xm = unvec(v, n, d)

@@ -8,7 +8,8 @@ masking.  A block maps X -> X_attn -> X_out where
 
 with the bracketed identity paths present only when skips are enabled.  The
 attention matrix of head i is the row-softmax of X W_Q,i W_K,i^T X^T divided
-by ``attention_scale``.
+by ``attention_scale``.  Heads are one tensor axis, laid out by
+:func:`split_heads` and nowhere else.
 
 :func:`network_forward` is the only walk over the layers, for one (n, d)
 sample or a (..., n, d) batch, and :func:`network_backward` its reverse twin:
@@ -79,8 +80,8 @@ class ModelConfig:
 
 @dataclass
 class BlockParams:
-    """Weights of one block: W_Q/W_K/W_V are d x d with h column-blocks of
-    width d_h; W_O is d x d with h row-blocks of height d_h."""
+    """Weights of one block, W_Q, W_K, W_V and W_O each d x d, split into
+    heads by :func:`split_heads`."""
 
     W_Q: np.ndarray
     W_K: np.ndarray
@@ -90,9 +91,6 @@ class BlockParams:
     mlp_b1: np.ndarray | None = None
     mlp_W2: np.ndarray | None = None
     mlp_b2: np.ndarray | None = None
-
-    def head_slice(self, head: int, d_h: int) -> slice:
-        return slice(head * d_h, (head + 1) * d_h)
 
 
 @dataclass
@@ -126,7 +124,8 @@ class ForwardTrace:
 
 
 class Attention(NamedTuple):
-    """Output, (..., n, d) projections and one (..., n, n) attention per head."""
+    """Output, the (..., h, n, d_h) projections q, k and v, the (..., n, d)
+    head concatenation o and the (..., h, n, n) attention."""
 
     out: np.ndarray
     q: np.ndarray
@@ -174,6 +173,20 @@ def activation_derivative(name: str, x: np.ndarray,
     raise ValueError(f"unknown activation {name!r}")
 
 
+def split_heads(t: np.ndarray, h: int) -> np.ndarray:
+    """The head layout: a view (..., r, d) -> (..., h, r, d_h) whose head i
+    is column block i, t[..., i*d_h:(i+1)*d_h].  Head i of W_Q, W_K and W_V
+    is split_heads(W, h)[..., i, :, :], and of W_O it is the transpose of
+    split_heads(W_O^T, h)[..., i, :, :] (row block i)."""
+    return t.reshape(*t.shape[:-1], h, -1).swapaxes(-2, -3)
+
+
+def merge_heads(t: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`split_heads`: (..., h, r, d_h) -> (..., r, h*d_h)."""
+    t = t.swapaxes(-2, -3)
+    return t.reshape(*t.shape[:-2], -1)
+
+
 def row_softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of m / temperature, stabilized by row-max subtraction."""
     if temperature <= 0.0:
@@ -187,24 +200,16 @@ def row_softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> Attention:
     """Multi-head self-attention Concat_i(A_i X W_V,i) W_O on (..., n, d) tokens.
 
-    q, k and v are projected once for all heads; head i reads column-block i
-    of each.  The concatenation times W_O equals sum_i A_i X W_V,i W_O,i, the
-    head-summed form the Jacobians are written in (up to rounding for h > 1).
-    Stacked weights broadcast with the token batch, so ``o`` takes the
-    broadcast shape of q, k and v.
+    q, k and v are projected once and split by head; every head's attention
+    is one batched matmul.  The concatenation times W_O equals
+    sum_i A_i X W_V,i W_O,i, the head-summed form the Jacobians are written
+    in (up to rounding for h > 1).  Stacked weights broadcast with the token
+    batch, so ``o`` takes the broadcast shape of q, k and v.
     """
-    q = x @ params.W_Q
-    k = x @ params.W_K
-    v = x @ params.W_V
-    o = np.empty(np.broadcast(q, k, v).shape)
-    attns = []
-    for i in range(config.h):
-        blk = params.head_slice(i, config.d_h)
-        a = row_softmax((q[..., blk] @ k[..., blk].swapaxes(-1, -2))
-                        / config.attention_scale)
-        o[..., blk] = a @ v[..., blk]
-        attns.append(a)
-    return Attention(o @ params.W_O, q, k, v, o, attns)
+    q, k, v = (split_heads(x @ w, config.h) for w in (params.W_Q, params.W_K, params.W_V))
+    a = row_softmax((q @ k.swapaxes(-1, -2)) / config.attention_scale)
+    o = merge_heads(a @ v)
+    return Attention(o @ params.W_O, q, k, v, o, a)
 
 
 def mlp_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> MLP:
@@ -260,18 +265,15 @@ def attention_backward(bt: BlockTrace, bp: BlockParams, config: ModelConfig,
     cotangent ``dout`` on the attention output (skip excluded), which may carry
     leading axes beyond the trace's; a weight's gradient is input^T cotangent,
     summed over tokens and whichever leading axes the caller contracts."""
-    sa = bt.sa
-    do = dout @ bp.W_O.T
-    dq, dk, dv = (np.empty_like(do) for _ in range(3))
-    for i, a in enumerate(sa.attention):
-        blk = bp.head_slice(i, config.d_h)
-        da = do[..., blk] @ sa.v[..., blk].swapaxes(-1, -2)
-        dv[..., blk] = a.swapaxes(-1, -2) @ do[..., blk]
-        dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / config.attention_scale
-        dq[..., blk] = dm @ sa.k[..., blk]
-        dk[..., blk] = dm.swapaxes(-1, -2) @ sa.q[..., blk]
-    return {"W_Q": (bt.x_in, dq), "W_K": (bt.x_in, dk), "W_V": (bt.x_in, dv),
-            "W_O": (sa.o, dout)}
+    sa, a = bt.sa, bt.sa.attention
+    do = split_heads(dout @ bp.W_O.T, config.h)
+    da = do @ sa.v.swapaxes(-1, -2)
+    dv = a.swapaxes(-1, -2) @ do
+    dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / config.attention_scale
+    dq = dm @ sa.k
+    dk = dm.swapaxes(-1, -2) @ sa.q
+    return {"W_Q": (bt.x_in, merge_heads(dq)), "W_K": (bt.x_in, merge_heads(dk)),
+            "W_V": (bt.x_in, merge_heads(dv)), "W_O": (sa.o, dout)}
 
 
 def network_backward(trace: ForwardTrace, cotangent: np.ndarray) -> Iterator[tuple[int, dict]]:

@@ -71,7 +71,7 @@ def test_c3_initialization_exactness():
     d, c = 64, 3.0
     kappa_errs, sv_errs, recon_errs = [], [], []
     for seed in range(10):
-        w_v, w_o = orthonormal_vo(d, 1, c, seed)
+        w_v, w_o = orthonormal_vo(d, c, seed)
         kappa_errs.append(abs(condition_number(w_v @ w_o) - 1.0))
         sv_errs.append(np.max(np.abs(singular_values(w_v @ w_o) - c * c)))
         w_q, w_k = mimetic_qk(d, d, 2.0, 0.6, seed)

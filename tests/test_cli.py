@@ -210,6 +210,8 @@ def test_ksplit_command(tmp_path):
     rows = [json.loads(line) for line in out.read_text().strip().split("\n")]
     assert len(rows) == 2
     assert all("dominance_ratio" in r for r in rows)
+    # The given scale is echoed as given, the one used (sqrt(d/h)) beside it.
+    assert all(r["scale"] == 0.0 and r["attention_scale"] == np.sqrt(8.0) for r in rows)
 
 
 def test_profile_command(tmp_path):
@@ -326,7 +328,8 @@ _HEADERS = {
                       "block_chain_jacobian_skipless,block_chain_jacobian_skip,passed,"
                       "version,all_passed,max_error",
     "ksplit": "command,seed,n,d,heads,scheme,alpha,beta,c,scale,trials,threads,trial,"
-              "e_norm,b_sigma_min,b_sigma_max,kappa_B,kappa_K,dominance_ratio,version",
+              "attention_scale,e_norm,b_sigma_min,b_sigma_max,kappa_B,kappa_K,dominance_ratio,"
+              "version",
     "concat-bound": "command,seed,rows,cols,trials,threads,trial,rho,tau_bal,s_max,s_min,"
                     "kappa_max,bound,actual,hypothesis,version,violations",
     "beta-sweep": "command,seed,n,d,alpha,betas,trials,temperature,threads,trial,"
@@ -338,7 +341,7 @@ _HEADERS = {
              "scheme,alpha,beta,c,scale,optimizer,lr,weight_decay,steps,batch_size,"
              "log_every,kappa_probe_every,threads,trial,loss,version,steps_run,final_loss,"
              "diverged,diverged_step,digest",
-    "init-report": "command,seed,d,heads,alpha,beta,c,trials,tokens,threads,trial,kappa_vo,"
+    "init-report": "command,seed,d,alpha,beta,c,trials,tokens,threads,trial,kappa_vo,"
                    "sv_max,sv_min,c_squared,qk_diag_mean,qk_offdiag_var,median_margin,version",
 }
 
@@ -347,7 +350,6 @@ _OUT_OF_RANGE = [
     (["profile", "--heads", "0"], "heads"),
     (["ksplit", "--heads", "0"], "heads"),
     (["train", "--heads", "0"], "heads"),
-    (["init-report", "--heads", "0"], "heads"),
     (["beta-sweep", "--trials", "0"], "trials"),
     (["beta-sweep", "--betas", ","], "betas"),
     (["beta-sweep", "--betas", "1,1"], "betas"),
@@ -414,6 +416,12 @@ def test_every_schema_key_is_read(command):
 def test_init_report_rejects_trunc_std(tmp_path):
     """init-report draws no truncated-normal weights, so it takes no trunc_std."""
     assert main(["init-report", "--trunc-std", "5",
+                 "--out", str(tmp_path / "i.csv")]) == 2
+
+
+def test_init_report_rejects_heads(tmp_path):
+    """init-report draws its Q K pair at d_h = d, so no head count changes it."""
+    assert main(["init-report", "--heads", "2",
                  "--out", str(tmp_path / "i.csv")]) == 2
 
 

@@ -4,7 +4,7 @@ import pytest
 from skiplab.init import (InitSpec, PRESETS, init_network, mimetic_qk,
                           mlp_orthogonal, orthonormal_vo, truncated_normal)
 from skiplab.linalg import condition_number, singular_values
-from skiplab.model import ModelConfig
+from skiplab.model import ModelConfig, split_heads
 
 
 def test_truncated_normal_bound():
@@ -27,21 +27,24 @@ def test_truncated_normal_deterministic():
 
 @pytest.mark.parametrize("h", [1, 2, 4])
 def test_orthonormal_vo_singular_values_all_c_squared(h):
+    """The head-summed product sum_i W_V,i W_O,i is scaled-orthonormal
+    whatever the head count."""
     c = 3.0
-    w_v, w_o = orthonormal_vo(32, h, c, seed=2)
-    sv = singular_values(w_v @ w_o)
+    w_v, w_o = orthonormal_vo(32, c, seed=2)
+    summed = (split_heads(w_v, h) @ split_heads(w_o.T, h).swapaxes(-1, -2)).sum(axis=0)
+    sv = singular_values(summed)
     assert np.max(np.abs(sv - c * c)) < 1e-9
-    assert condition_number(w_v @ w_o) == pytest.approx(1.0, abs=1e-10)
+    assert condition_number(summed) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_orthonormal_vo_d1():
-    w_v, w_o = orthonormal_vo(1, 1, 2.0, seed=3)
+    w_v, w_o = orthonormal_vo(1, 2.0, seed=3)
     assert abs(abs((w_v @ w_o)[0, 0]) - 4.0) < 1e-12
 
 
 def test_orthonormal_vo_per_head_blocks_are_scaled_partial_isometries():
     d, h, c = 16, 4, 3.0
-    w_v, w_o = orthonormal_vo(d, h, c, seed=4)
+    w_v, w_o = orthonormal_vo(d, c, seed=4)
     d_h = d // h
     for i in range(h):
         blk = slice(i * d_h, (i + 1) * d_h)
@@ -52,7 +55,7 @@ def test_orthonormal_vo_per_head_blocks_are_scaled_partial_isometries():
 
 def test_orthonormal_vo_gram_identity():
     d, c = 24, 3.0
-    w_v, w_o = orthonormal_vo(d, 1, c, seed=5)
+    w_v, w_o = orthonormal_vo(d, c, seed=5)
     g = w_v @ w_o
     err = np.linalg.norm(g @ g.T - c**4 * np.eye(d))
     assert err <= 1e-8 * c**4 * np.sqrt(d)

@@ -24,8 +24,8 @@ from skiplab.linalg import (BudgetError, commutation_permutation, condition_numb
                             kron, kron_eye_apply, singular_values, spectral_norm, unvec,
                             vec)
 from skiplab.model import (ACTIVATIONS, BlockParams, ModelConfig, NetworkParams,
-                           activation_derivative, network_backward, network_forward,
-                           row_softmax)
+                           activation_derivative, attention_backward, network_backward,
+                           network_forward, row_softmax)
 from test_model import random_params, small_config
 
 
@@ -350,7 +350,7 @@ def _kron_sa_param_jacobian(trace, layer):
     concat = np.zeros((n, d))
     k_ddh = commutation_permutation(d_h, d)
     for i in range(cfg.h):
-        blk = bp.head_slice(i, d_h)
+        blk = slice(i * d_h, (i + 1) * d_h)
         w_q, w_k = bp.W_Q[:, blk], bp.W_K[:, blk]
         w_v, w_o = bp.W_V[:, blk], bp.W_O[blk, :]
         a = bt.sa.attention[i]
@@ -369,8 +369,9 @@ def _kron_sa_param_jacobian(trace, layer):
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**16))
 def test_property_sa_param_jacobian_matches_kron_oracle(h, use_skip, left_shape, n, seed):
-    """left @ P through the vec identity equals left @ the dense Kronecker P,
-    for no left (P itself), an nd x nd left and m x nd lefts with m != nd."""
+    """P through the vec identity equals the dense Kronecker P; for an
+    nd x nd left and m x nd lefts with m != nd, the attention backward on the
+    stack of left's rows as n x d cotangents gives left @ P."""
     cfg = small_config(L=2, n=n, d=6, h=h, use_skip=use_skip, attention_scale=1.7)
     params = random_params(cfg, seed=seed, std=0.6)
     rng = np.random.default_rng(seed + 1)
@@ -380,8 +381,12 @@ def test_property_sa_param_jacobian_matches_kron_oracle(h, use_skip, left_shape,
     left = None if rows is None else rng.standard_normal((rows, nd))
     for layer in range(cfg.L):
         oracle = _kron_sa_param_jacobian(trace, layer)
-        want = oracle if left is None else left @ oracle
-        got = sa_param_jacobian(trace, layer, left)
+        if left is None:
+            want, got = oracle, sa_param_jacobian(trace, layer)
+        else:
+            want = left @ oracle
+            got = _attention_rows(attention_backward(
+                trace.blocks[layer], params.blocks[layer], cfg, unvec(left, n, cfg.d)))
         assert got.shape == want.shape
         assert relative_frobenius(got, want) < 1e-12, layer
 
@@ -692,7 +697,7 @@ def test_j_maps_gauge_directions_to_zero(h):
     bp = params.blocks[0]
     zero = np.zeros((cfg.d, cfg.d))
     for i in range(h):
-        blk = bp.head_slice(i, cfg.d_h)
+        blk = slice(i * cfg.d_h, (i + 1) * cfg.d_h)
         s = rng.standard_normal((cfg.d_h, cfg.d_h))
         dq, dk, dv, do = (zero.copy() for _ in range(4))
         dq[:, blk], dk[:, blk] = bp.W_Q[:, blk] @ s, -bp.W_K[:, blk] @ s.T

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from skiplab.init import InitSpec, init_network
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from skiplab.model import (BlockParams, DivergenceError, ModelConfig,
-                           NetworkParams, block_forward, mlp_forward,
-                           network_forward, row_softmax, self_attention)
+                           NetworkParams, attention_backward, block_forward,
+                           merge_heads, mlp_forward, network_forward, row_softmax,
+                           self_attention, split_heads)
 
 
 def small_config(**kw):
@@ -308,3 +312,88 @@ def test_multihead_invariant_under_head_permutation():
                           W_V=bp.W_V[:, perm], W_O=bp.W_O[perm, :])
     out2 = self_attention(x, swapped, cfg).out
     assert np.max(np.abs(out1 - out2)) < 1e-12
+
+
+def test_split_heads_is_a_column_block_view():
+    """Head i is column block i of the last axis, as a view; merge_heads
+    undoes the split."""
+    t = np.arange(2 * 3 * 8, dtype=float).reshape(2, 3, 8)
+    heads = split_heads(t, 4)
+    assert heads.shape == (2, 4, 3, 2)
+    assert np.shares_memory(heads, t)
+    for i in range(4):
+        assert np.array_equal(heads[:, i], t[..., 2 * i:2 * i + 2])
+    assert np.array_equal(merge_heads(heads), t)
+
+
+def _loop_self_attention(x, bp, cfg):
+    """Oracle: the per-head loop, head i reading column block i of q, k and v
+    and writing column block i of o.  Returns (out, q, k, v, o, attentions)."""
+    q, k, v = x @ bp.W_Q, x @ bp.W_K, x @ bp.W_V
+    o = np.empty(np.broadcast(q, k, v).shape)
+    attns = []
+    for i in range(cfg.h):
+        blk = slice(i * cfg.d_h, (i + 1) * cfg.d_h)
+        a = row_softmax((q[..., blk] @ k[..., blk].swapaxes(-1, -2))
+                        / cfg.attention_scale)
+        o[..., blk] = a @ v[..., blk]
+        attns.append(a)
+    return o @ bp.W_O, q, k, v, o, attns
+
+
+def _loop_attention_backward(x, bp, cfg, dout):
+    """Oracle: the per-head loop form of attention_backward's factor pairs."""
+    _, q, k, v, o, attns = _loop_self_attention(x, bp, cfg)
+    do = dout @ bp.W_O.T
+    dq, dk, dv = (np.empty_like(do) for _ in range(3))
+    for i, a in enumerate(attns):
+        blk = slice(i * cfg.d_h, (i + 1) * cfg.d_h)
+        da = do[..., blk] @ v[..., blk].swapaxes(-1, -2)
+        dv[..., blk] = a.swapaxes(-1, -2) @ do[..., blk]
+        dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / cfg.attention_scale
+        dq[..., blk] = dm @ k[..., blk]
+        dk[..., blk] = dm.swapaxes(-1, -2) @ q[..., blk]
+    return {"W_Q": (x, dq), "W_K": (x, dk), "W_V": (x, dv), "W_O": (o, dout)}
+
+
+# Token, cotangent and weight-stack shapes, ahead of (n, d) and (d, d): one
+# sample with one cotangent, one sample with a stack of 3 cotangents (the
+# Jacobians' use), a batch of 2 with one cotangent each (the trainer's), and
+# one sample under weights stacked 3 deep (the finite-difference oracle's,
+# which runs the forward only).
+_LAYOUTS = {"single": ((), (), ()), "cotangent_stack": ((), (3,), ()),
+            "batched": ((2,), (2,), ()), "stacked": ((), None, (3,))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.sampled_from([1, 2, 4]), d_h=st.integers(1, 3), n=st.integers(1, 5),
+       layout=st.sampled_from(sorted(_LAYOUTS)), seed=st.integers(0, 2**16))
+def test_property_head_axis_equals_per_head_loop(h, d_h, n, layout, seed):
+    """The head-axis forward and backward equal the per-head loop bit for
+    bit: out, o, q, k, v, the attention and, where a backward runs, every
+    factor pair."""
+    d = h * d_h
+    cfg = ModelConfig(L=1, n=n, d=d, h=h, attention_scale=1.3, use_skip=False,
+                      use_mlp=False)
+    batch, cot, stack = _LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    bp = BlockParams(*(0.5 * rng.standard_normal((*stack, d, d)) for _ in range(4)))
+    x = rng.standard_normal((*batch, n, d))
+
+    out, q, k, v, o, attns = _loop_self_attention(x, bp, cfg)
+    sa = self_attention(x, bp, cfg)
+    assert np.array_equal(sa.out, out)
+    assert np.array_equal(sa.o, o)
+    assert np.array_equal(sa.attention, np.stack(attns, axis=-3))
+    for got, want in zip((sa.q, sa.k, sa.v), (q, k, v)):
+        assert got.shape[-3:] == (h, n, d_h)
+        assert np.array_equal(merge_heads(got), want)
+    if cot is None:
+        return
+
+    dout = rng.standard_normal((*cot, n, d))
+    pairs = attention_backward(block_forward(x, bp, cfg), bp, cfg, dout)
+    oracle = _loop_attention_backward(x, bp, cfg, dout)
+    for name in ATTENTION_WEIGHTS:
+        for got, want in zip(pairs[name], oracle[name]):
+            assert np.array_equal(got, want), name
