@@ -27,8 +27,8 @@ from dataclasses import replace
 import numpy as np
 
 from .init import InitSpec, init_network
-from .jacobian import (batch_param_jacobian, gauge_free_width, mlp_token_blocks,
-                       sa_input_jacobian, sa_split)
+from .jacobian import (batch_param_jacobian, gauge_free_width, logits_input_jacobian,
+                       mlp_token_blocks, sa_input_jacobian, sa_split, softmax_jacobian)
 from .linalg import (condition_from_singular_values, condition_number, kron_eye_apply,
                      singular_values, spectral_norm)
 from .model import ModelConfig, network_forward, row_softmax
@@ -166,7 +166,7 @@ def concat_bound(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
     s_min = float(min(sa[-1], sb[-1]))
     rho = spectral_norm(a.T @ b)
     tau_bal = float(max(sa[0], sb[0]) / min(sa[0], sb[0]))
-    kappa_max = max(condition_number(a), condition_number(b))
+    kappa_max = max(condition_from_singular_values(sa), condition_from_singular_values(sb))
     satisfied = bool(rho < s_min**2)
     if satisfied and np.isfinite(kappa_max):
         bound = tau_bal * np.sqrt((1.0 + rho / s_max**2) / (1.0 - rho / s_min**2)) * kappa_max
@@ -216,7 +216,6 @@ def softmax_derivative_beta_sweep(n: int, d: int, alpha: float,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     z = rng.standard_normal((d, d)) / np.sqrt(d)
-    from .jacobian import logits_input_jacobian, softmax_jacobian
     norms = []
     for beta in betas:
         p = alpha * z + beta * np.eye(d)
@@ -285,7 +284,7 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     for regime, use_skip in REGIMES.items():
         scheme = "proposed" if regime.endswith("proposed") else "default"
         cfg = replace(config, use_skip=use_skip)
-        params = init_network(cfg, replace(spec, scheme=scheme, seed=spec.seed))
+        params = init_network(cfg, replace(spec, scheme=scheme))
         profiles[regime] = condition_profile_for_params(
             params, cfg, batch, include_param_jacobian=include_param_jacobian)
     return profiles

@@ -127,11 +127,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _convert(command: str, key: str, value, typ):
-    if isinstance(value, typ) and not (typ is bool and isinstance(value, int)
-                                       and not isinstance(value, bool)):
-        return value
-    text = str(value)
+def _convert(command: str, key: str, text: str, typ):
     try:
         if typ is bool:
             return _parse_bool(text)
@@ -298,13 +294,19 @@ def _check_ranges(command: str, p: dict) -> None:
     """Reject values the schema types admit but no command can run; the
     ValueError names the key.  Integers must be >= 1, except that the two
     intervals read 0 as "never", mlp_hidden 0 means 4d (see ModelConfig), and
-    a one-token softmax is constant, so the token counts it runs over need >= 2."""
+    a one-token softmax is constant, so the token counts it runs over need >= 2.
+    An attention scale must be >= 0, where 0 means sqrt(d/h), except in
+    jacobian-check, which uses it as given and so needs it > 0."""
     for key, value in p.items():
         low = (0 if key in ("log_every", "kappa_probe_every", "mlp_hidden")
                else 2 if (command, key) in (("init-report", "tokens"), ("beta-sweep", "n"))
                else 1)
         if SCHEMAS[command][key][0] is int and value < low:
             raise ValueError(f"{key} must be >= {low}, got {value}")
+    if "scale" in p:
+        given = command == "jacobian-check"
+        if not (p["scale"] > 0.0 if given else p["scale"] >= 0.0):
+            raise ValueError(f"scale must be {'>' if given else '>='} 0, got {p['scale']}")
     if "betas" in p:
         betas = _betas(p["betas"])
         if not betas or len({f"{b:g}" for b in betas}) < len(betas):

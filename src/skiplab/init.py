@@ -55,7 +55,7 @@ class InitSpec:
 
 def truncated_normal(rows: int, cols: int, std: float, bound: float, seed) -> np.ndarray:
     """I.i.d. N(0, std^2) entries, resampled until inside +/- bound*std."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     out = rng.standard_normal((rows, cols))
     bad = np.abs(out) > bound
     while bad.any():
@@ -72,7 +72,7 @@ def orthonormal_vo(d: int, c: float, seed) -> tuple[np.ndarray, np.ndarray]:
     sum_i W_V,i W_O,i is W_V W_O = c^2 * U V^T whatever the head count: every
     singular value is c^2 and its condition number is 1.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     q = rng.standard_normal((d, d))
     u, _, vt = np.linalg.svd(q)
     # Paired sign pinning keeps U V^T unchanged while making the pair unique.
@@ -91,7 +91,7 @@ def mimetic_qk(d: int, d_h: int, alpha: float, beta: float, seed) -> tuple[np.nd
     """
     if not 1 <= d_h <= d:
         raise ValueError(f"need 1 <= d_h <= d, got d_h={d_h}, d={d}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) / np.sqrt(d)
     target = alpha * z + beta * np.eye(d)
     u, s, vt = np.linalg.svd(target)
@@ -112,7 +112,7 @@ def mlp_orthogonal(fan_in: int, fan_out: int, seed) -> np.ndarray:
     """
     if fan_in < 1 or fan_out < 1:
         raise ValueError("fan_in and fan_out must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     tall = fan_in >= fan_out
     g = rng.standard_normal((fan_in, fan_out) if tall else (fan_out, fan_in))
     q, r = np.linalg.qr(g)
@@ -143,12 +143,6 @@ def init_network(config: ModelConfig, spec: InitSpec) -> NetworkParams:
 def _lead_signs(m: np.ndarray) -> np.ndarray:
     """Per column, the sign (+1 or -1) that makes its largest-|entry| positive."""
     return np.where(m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])] < 0, -1.0, 1.0)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _trunc(rows, cols, seq) -> np.ndarray:

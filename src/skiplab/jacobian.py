@@ -37,7 +37,10 @@ same matrix, so the two typographic variants of the formula agree.
 The finite-difference oracle's ``f`` maps a (k, p) stack of points to a
 (k, q) stack of values, and is called once per chunk of ``FD_CHUNK``
 coordinates: a map built on the forward (whose weights may carry stack axes)
-runs one stacked forward per chunk, not one per point.
+runs one stacked forward per chunk, not one per point.  The maps
+:func:`fd_check_instance` checks against are the model's own stages
+(``row_softmax``, ``self_attention``, ``mlp_forward``, ``network_forward``),
+apart from the bare logits X P X^T / s, so no formula is restated for them.
 """
 
 from __future__ import annotations
@@ -47,10 +50,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import BudgetError, commutation_permutation, kron, kron_eye_apply, unvec, vec
+from .linalg import (BudgetError, check_budget, commutation_permutation, kron,
+                     kron_eye_apply, unvec, vec)
 from .model import (BlockParams, ForwardTrace, ModelConfig, NetworkParams,
-                    activation_derivative, attention_backward, network_backward,
-                    network_forward, split_heads)
+                    activation_derivative, attention_backward, mlp_forward,
+                    network_backward, network_forward, row_softmax, self_attention,
+                    split_heads)
 
 # Dense nd x nd materialization cap.
 MAX_ND = 2048
@@ -89,6 +94,7 @@ def softmax_jacobian(a: np.ndarray) -> np.ndarray:
     rows = a.sum(axis=1)
     if np.any(a < -1e-12) or np.max(np.abs(rows - 1.0)) > 1e-9:
         raise ValueError("input is not row-stochastic")
+    check_budget(n * n, n * n)
     # blocks[i] = diag(a_i) - outer(a_i, a_i), entry by entry.
     blocks = a[:, :, None] * np.eye(n) - a[:, :, None] * a[:, None, :]
     out = np.zeros((n, n, n, n))
@@ -288,11 +294,13 @@ def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.n
     sample order: C C^T = J J^T for the stack J of the chain Jacobians, so C
     has J's singular values (see the module docstring).  One backward per
     trace on the unit cotangents, layers yielded last first; the traces are
-    samples of one network, whose weight frames are taken once per layer."""
+    samples of one network, whose weight frames are taken once per layer.
+    A stack over the ``linalg`` element budget raises before any backward."""
     if not traces:
         raise ValueError("batch must contain at least one sample")
-    eye = _cotangent_stack(traces[0])
     cfg, blocks = traces[0].config, traces[0].params.blocks
+    check_budget(len(traces) * cfg.n * cfg.d, gauge_free_width(cfg))
+    eye = _cotangent_stack(traces[0])
     for steps in zip(*(network_backward(t, eye) for t in traces)):
         layer = steps[0][0]
         frames = _gauge_frames(blocks[layer], cfg.h)
@@ -355,11 +363,8 @@ def with_attention_params(bp: BlockParams, theta: np.ndarray) -> BlockParams:
     attention weights read from theta, sharing bp's MLP arrays; a (..., 4d^2)
     stack of thetas gives (..., d, d) stacked weights."""
     d = bp.W_Q.shape[-1]
-    d2 = d * d
-    return replace(bp, W_Q=unvec(theta[..., :d2], d, d),
-                   W_K=unvec(theta[..., d2:2 * d2], d, d),
-                   W_V=unvec(theta[..., 2 * d2:3 * d2], d, d),
-                   W_O=unvec(theta[..., 3 * d2:], d, d))
+    return replace(bp, **{w: unvec(t, d, d) for w, t in
+                          zip(ATTENTION_WEIGHTS, np.split(theta, 4, axis=-1))})
 
 
 def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
@@ -372,98 +377,62 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     generic position (tiny default-init weights would make relative errors
     meaningless).  Each map handed to the oracle evaluates a stack of points
     as one stacked forward."""
-    from .model import row_softmax, self_attention
-
     rng = np.random.default_rng(seed)
-    results: dict[str, float] = {}
+    # (std, shape) of W_Q, W_K, W_V, W_O, W1, b1, W2, b2: BlockParams' order.
+    weight, bias = (FD_WEIGHT_STD, (d, d)), (0.1, (d,))
+    draws = (weight,) * 5 + (bias, weight, bias)
 
-    # Softmax Jacobian at generic logits.
-    logits = rng.standard_normal((n, n))
-    a = row_softmax(logits, 1.0)
-    fd = finite_difference_jacobian(
-        lambda v: vec(row_softmax(unvec(v, n, n), 1.0)), vec(logits))
-    results["softmax_jacobian"] = relative_frobenius(softmax_jacobian(a), fd)
-
-    # Logits Jacobian.
-    x = rng.standard_normal((n, d))
-    p = rng.standard_normal((d, d))
-    fd = finite_difference_jacobian(
-        lambda v: vec(unvec(v, n, d) @ p @ unvec(v, n, d).swapaxes(-1, -2) / scale),
-        vec(x))
-    results["logits_input_jacobian"] = relative_frobenius(
-        logits_input_jacobian(x, p, scale), fd)
-
-    def random_network(use_skip: bool):
+    def random_network(use_skip: bool) -> tuple[ModelConfig, NetworkParams]:
         cfg = ModelConfig(L=layers, n=n, d=d, h=h, attention_scale=scale,
                           activation="gelu", use_skip=use_skip, use_mlp=True,
                           mlp_hidden=d)
-        blocks = []
-        for _ in range(layers):
-            blocks.append(BlockParams(
-                W_Q=FD_WEIGHT_STD * rng.standard_normal((d, d)),
-                W_K=FD_WEIGHT_STD * rng.standard_normal((d, d)),
-                W_V=FD_WEIGHT_STD * rng.standard_normal((d, d)),
-                W_O=FD_WEIGHT_STD * rng.standard_normal((d, d)),
-                mlp_W1=FD_WEIGHT_STD * rng.standard_normal((d, d)),
-                mlp_b1=0.1 * rng.standard_normal(d),
-                mlp_W2=FD_WEIGHT_STD * rng.standard_normal((d, d)),
-                mlp_b2=0.1 * rng.standard_normal(d)))
-        return cfg, NetworkParams(blocks)
+        return cfg, NetworkParams([
+            BlockParams(*(std * rng.standard_normal(shape) for std, shape in draws))
+            for _ in range(layers)])
 
+    logits, x, p = (rng.standard_normal(shape) for shape in ((n, n), (n, d), (d, d)))
     cfg, params = random_network(use_skip=False)
     x0 = rng.standard_normal((n, d))
+    chains = {"block_chain_jacobian_skipless": random_network(use_skip=False),
+              "block_chain_jacobian_skip": random_network(use_skip=True)}
     trace = network_forward(x0, params, cfg)
-
-    # Attention-matrix derivative of head 0, layer 0.
     bp = params.blocks[0]
-    p0 = split_heads(bp.W_Q, h)[0] @ split_heads(bp.W_K, h)[0].T
 
-    def head_attention(v):
-        xm = unvec(v, n, d)
-        return vec(row_softmax(xm @ p0 @ xm.swapaxes(-1, -2) / scale, 1.0))
+    def error(analytic: np.ndarray, f: Callable, at: np.ndarray) -> float:
+        return relative_frobenius(analytic, finite_difference_jacobian(f, at))
 
-    fd = finite_difference_jacobian(head_attention, vec(x0))
-    results["attention_input_jacobian"] = relative_frobenius(
-        attention_input_jacobian(trace, 0, 0), fd)
+    def of_tokens(stage: Callable) -> Callable:
+        return lambda v: vec(stage(unvec(v, n, d)))
 
-    # Input Jacobians of both sub-blocks.
-    def sa_map(v):
-        return vec(self_attention(unvec(v, n, d), bp, cfg).out)
-
-    fd = finite_difference_jacobian(sa_map, vec(x0))
-    results["sa_input_jacobian"] = relative_frobenius(
-        sa_input_jacobian(trace, 0), fd)
-
-    from .model import mlp_forward
-
-    def mlp_map(v):
-        return vec(mlp_forward(unvec(v, n, d), bp, cfg).out)
-
-    fd = finite_difference_jacobian(mlp_map, vec(trace.blocks[0].post_attention))
-    results["mlp_input_jacobian"] = relative_frobenius(
-        mlp_input_jacobian(trace, 0), fd)
-
-    # Parameter Jacobian of the attention stage.
-    theta0 = flatten_attention_params(bp)
-
-    def sa_of_theta(theta):
-        return vec(self_attention(x0, with_attention_params(bp, theta), cfg).out)
-
-    fd = finite_difference_jacobian(sa_of_theta, theta0)
-    results["sa_param_jacobian"] = relative_frobenius(sa_param_jacobian(trace, 0), fd)
-
+    results = {
+        "softmax_jacobian": error(softmax_jacobian(row_softmax(logits)),
+                                  lambda v: vec(row_softmax(unvec(v, n, n))), vec(logits)),
+        "logits_input_jacobian": error(
+            logits_input_jacobian(x, p, scale),
+            of_tokens(lambda t: t @ p @ t.swapaxes(-1, -2) / scale), vec(x)),
+        # Layer 0, head 0.
+        "attention_input_jacobian": error(
+            attention_input_jacobian(trace, 0, 0),
+            of_tokens(lambda t: self_attention(t, bp, cfg).attention[..., 0, :, :]),
+            vec(x0)),
+        "sa_input_jacobian": error(sa_input_jacobian(trace, 0),
+                                   of_tokens(lambda t: self_attention(t, bp, cfg).out),
+                                   vec(x0)),
+        "mlp_input_jacobian": error(mlp_input_jacobian(trace, 0),
+                                    of_tokens(lambda t: mlp_forward(t, bp, cfg).out),
+                                    vec(trace.blocks[0].post_attention)),
+        "sa_param_jacobian": error(
+            sa_param_jacobian(trace, 0),
+            lambda theta: vec(self_attention(x0, with_attention_params(bp, theta), cfg).out),
+            flatten_attention_params(bp)),
+    }
     # Whole-network chain Jacobian w.r.t. layer-0 attention parameters.
-    for use_skip, tag in ((False, "block_chain_jacobian_skipless"),
-                          (True, "block_chain_jacobian_skip")):
-        cfg_c, params_c = random_network(use_skip=use_skip)
-        trace_c = network_forward(x0, params_c, cfg_c)
-        bp_c = params_c.blocks[0]
-        theta0 = flatten_attention_params(bp_c)
-
-        def net_of_theta(theta):
-            blocks = [with_attention_params(bp_c, theta), *params_c.blocks[1:]]
-            return vec(network_forward(x0, NetworkParams(blocks), cfg_c).output)
-
-        fd = finite_difference_jacobian(net_of_theta, theta0)
-        results[tag] = relative_frobenius(block_chain_jacobian(trace_c, 0), fd)
+    for tag, (cfg_c, params_c) in chains.items():
+        bp_c, rest = params_c.blocks[0], params_c.blocks[1:]
+        results[tag] = error(
+            block_chain_jacobian(network_forward(x0, params_c, cfg_c), 0),
+            lambda theta: vec(network_forward(
+                x0, NetworkParams([with_attention_params(bp_c, theta), *rest]),
+                cfg_c).output),
+            flatten_attention_params(bp_c))
     return results

@@ -33,7 +33,8 @@ class SvdConvergenceError(RuntimeError):
     """The SVD iteration failed; results would be garbage, so none are returned."""
 
 
-def _check_budget(rows: int, cols: int) -> None:
+def check_budget(rows: int, cols: int) -> None:
+    """Raise :class:`BudgetError` before a rows x cols dense build past the cap."""
     if rows * cols > MAX_ELEMENTS:
         raise BudgetError(
             f"dense {rows}x{cols} result holds {rows * cols} elements, "
@@ -75,7 +76,7 @@ def commutation_matrix(n: int, d: int) -> np.ndarray:
     Dense form of :func:`commutation_permutation`, kept as a test oracle.
     """
     perm = commutation_permutation(n, d)
-    _check_budget(n * d, n * d)
+    check_budget(n * d, n * d)
     return np.eye(n * d)[perm]
 
 
@@ -83,7 +84,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with an element-budget guard."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_budget(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    check_budget(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 

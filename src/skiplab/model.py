@@ -21,7 +21,8 @@ implementation.
 A block's weights may carry leading stack axes too, (..., d, d) for W_Q, W_K,
 W_V and W_O, which broadcast with the token batch: the finite-difference
 oracle runs one forward for a whole stack of perturbed weight sets.  Any subset
-of a block's weights may be stacked; a stacked bias is (..., 1, width).
+of a block's weights may be stacked; a stacked bias is (..., 1, width).  The
+backward takes stacked weights too.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class Attention(NamedTuple):
     k: np.ndarray
     v: np.ndarray
     o: np.ndarray
-    attention: list[np.ndarray]
+    attention: np.ndarray
 
 
 class MLP(NamedTuple):
@@ -266,7 +267,7 @@ def attention_backward(bt: BlockTrace, bp: BlockParams, config: ModelConfig,
     leading axes beyond the trace's; a weight's gradient is input^T cotangent,
     summed over tokens and whichever leading axes the caller contracts."""
     sa, a = bt.sa, bt.sa.attention
-    do = split_heads(dout @ bp.W_O.T, config.h)
+    do = split_heads(dout @ bp.W_O.swapaxes(-1, -2), config.h)
     da = do @ sa.v.swapaxes(-1, -2)
     dv = a.swapaxes(-1, -2) @ do
     dm = a * (da - (da * a).sum(axis=-1, keepdims=True)) / config.attention_scale
@@ -288,13 +289,15 @@ def network_backward(trace: ForwardTrace, cotangent: np.ndarray) -> Iterator[tup
         bt, bp = trace.blocks[layer], trace.params.blocks[layer]
         pairs, dx_attn = {}, dx
         if cfg.use_mlp:
-            dpre = (dx @ bp.mlp_W2.T) * activation_derivative(
+            dpre = (dx @ bp.mlp_W2.swapaxes(-1, -2)) * activation_derivative(
                 cfg.activation, bt.mlp.pre, bt.mlp.cdf)
             pairs = {"mlp_W1": (bt.post_attention, dpre), "mlp_b1": (None, dpre),
                      "mlp_W2": (bt.mlp.act, dx), "mlp_b2": (None, dx)}
-            dx_attn = dpre @ bp.mlp_W1.T + (dx if cfg.use_skip else 0.0)
+            dx_attn = dpre @ bp.mlp_W1.swapaxes(-1, -2) + (dx if cfg.use_skip else 0.0)
         pairs.update(attention_backward(bt, bp, cfg, dx_attn))
         yield layer, pairs
         if layer:
-            dx = (pairs["W_Q"][1] @ bp.W_Q.T + pairs["W_K"][1] @ bp.W_K.T
-                  + pairs["W_V"][1] @ bp.W_V.T + (dx_attn if cfg.use_skip else 0.0))
+            dx = (pairs["W_Q"][1] @ bp.W_Q.swapaxes(-1, -2)
+                  + pairs["W_K"][1] @ bp.W_K.swapaxes(-1, -2)
+                  + pairs["W_V"][1] @ bp.W_V.swapaxes(-1, -2)
+                  + (dx_attn if cfg.use_skip else 0.0))

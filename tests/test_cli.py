@@ -362,6 +362,12 @@ _OUT_OF_RANGE = [
     (["train", "--log-every", "-2"], "log_every"),
     (["init-report", "--d", "8", "--trials", "1", "--tokens", "1"], "tokens must be >= 2"),
     (["beta-sweep", "--n", "1", "--d", "4", "--trials", "1"], "n must be >= 2"),
+    (["profile", "--scale", "-2"], "scale must be >= 0"),
+    (["ksplit", "--scale", "-1"], "scale must be >= 0"),
+    (["train", "--scale", "-3"], "scale must be >= 0"),
+    (["train", "--scale", "nan"], "scale must be >= 0"),
+    (["jacobian-check", "--scale", "0"], "scale must be > 0"),
+    (["jacobian-check", "--scale", "-1"], "scale must be > 0"),
 ]
 
 

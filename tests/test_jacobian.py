@@ -243,6 +243,36 @@ def test_sa_input_jacobian_budget():
         sa_input_jacobian(trace, 0)
 
 
+def test_softmax_jacobian_checks_budget_before_allocating(monkeypatch):
+    """The n^4 softmax Jacobian is checked against linalg.MAX_ELEMENTS before
+    it is built, so K fails on it even where the logits Jacobian and every
+    kron fit (n > d: n^4 = 256 against n^2 * nd = 128 at n=4, d=2)."""
+    cfg = ModelConfig(L=1, n=4, d=2, h=1, use_skip=False, use_mlp=False)
+    params = random_params(small_config(L=1, n=4, d=2, h=1), seed=3)
+    trace = network_forward(np.random.default_rng(4).standard_normal((4, 2)), params, cfg)
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", 4 ** 4)
+    sa_input_jacobian(trace, 0)
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", 4 ** 4 - 1)
+    with pytest.raises(BudgetError):
+        sa_input_jacobian(trace, 0)
+
+
+def test_param_jacobian_stack_checks_budget_before_any_backward(monkeypatch):
+    """The m*n*d x gauge_free_width kappa(J) stack is checked against
+    linalg.MAX_ELEMENTS before the first backward runs."""
+    cfg = small_config(L=1, n=2, d=4, h=2)
+    params = random_params(cfg, seed=6)
+    rng = np.random.default_rng(7)
+    traces = [network_forward(rng.standard_normal((2, 4)), params, cfg) for _ in range(2)]
+    size = 2 * 2 * 4 * gauge_free_width(cfg)
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", size)
+    assert next(batch_param_jacobian(traces))[1].size == size
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", size - 1)
+    monkeypatch.setattr(skiplab.jacobian, "network_backward", None)
+    with pytest.raises(BudgetError):
+        next(batch_param_jacobian(traces))
+
+
 # --- MLP input Jacobian ------------------------------------------------------
 
 def test_mlp_input_jacobian_identity_case():

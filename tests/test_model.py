@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from skiplab.model import (BlockParams, DivergenceError, ModelConfig,
                            NetworkParams, attention_backward, block_forward,
-                           merge_heads, mlp_forward, network_forward, row_softmax,
+                           merge_heads, mlp_forward, network_backward,
+                           network_forward, row_softmax,
                            self_attention, split_heads)
 
 
@@ -344,7 +345,7 @@ def _loop_self_attention(x, bp, cfg):
 def _loop_attention_backward(x, bp, cfg, dout):
     """Oracle: the per-head loop form of attention_backward's factor pairs."""
     _, q, k, v, o, attns = _loop_self_attention(x, bp, cfg)
-    do = dout @ bp.W_O.T
+    do = dout @ bp.W_O.swapaxes(-1, -2)
     dq, dk, dv = (np.empty_like(do) for _ in range(3))
     for i, a in enumerate(attns):
         blk = slice(i * cfg.d_h, (i + 1) * cfg.d_h)
@@ -359,10 +360,10 @@ def _loop_attention_backward(x, bp, cfg, dout):
 # Token, cotangent and weight-stack shapes, ahead of (n, d) and (d, d): one
 # sample with one cotangent, one sample with a stack of 3 cotangents (the
 # Jacobians' use), a batch of 2 with one cotangent each (the trainer's), and
-# one sample under weights stacked 3 deep (the finite-difference oracle's,
-# which runs the forward only).
+# one sample under weights stacked 3 deep with a cotangent per weight set
+# (the finite-difference oracle's forward, and a run axis on the weights).
 _LAYOUTS = {"single": ((), (), ()), "cotangent_stack": ((), (3,), ()),
-            "batched": ((2,), (2,), ()), "stacked": ((), None, (3,))}
+            "batched": ((2,), (2,), ()), "stacked": ((), (3,), (3,))}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -370,8 +371,7 @@ _LAYOUTS = {"single": ((), (), ()), "cotangent_stack": ((), (3,), ()),
        layout=st.sampled_from(sorted(_LAYOUTS)), seed=st.integers(0, 2**16))
 def test_property_head_axis_equals_per_head_loop(h, d_h, n, layout, seed):
     """The head-axis forward and backward equal the per-head loop bit for
-    bit: out, o, q, k, v, the attention and, where a backward runs, every
-    factor pair."""
+    bit: out, o, q, k, v, the attention and every factor pair."""
     d = h * d_h
     cfg = ModelConfig(L=1, n=n, d=d, h=h, attention_scale=1.3, use_skip=False,
                       use_mlp=False)
@@ -388,8 +388,6 @@ def test_property_head_axis_equals_per_head_loop(h, d_h, n, layout, seed):
     for got, want in zip((sa.q, sa.k, sa.v), (q, k, v)):
         assert got.shape[-3:] == (h, n, d_h)
         assert np.array_equal(merge_heads(got), want)
-    if cot is None:
-        return
 
     dout = rng.standard_normal((*cot, n, d))
     pairs = attention_backward(block_forward(x, bp, cfg), bp, cfg, dout)
@@ -397,3 +395,31 @@ def test_property_head_axis_equals_per_head_loop(h, d_h, n, layout, seed):
     for name in ATTENTION_WEIGHTS:
         for got, want in zip(pairs[name], oracle[name]):
             assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("use_skip", [False, True])
+def test_network_backward_on_stacked_weights_equals_each_slice(use_skip):
+    """Weights stacked 3 deep (biases as (3, 1, width)) run one backward whose
+    slice i is, bit for bit, the backward of weight set i alone."""
+    cfg = small_config(use_skip=use_skip)
+    sets = [random_params(cfg, seed=s) for s in range(3)]
+
+    def stack(layer, name):
+        a = np.stack([getattr(p.blocks[layer], name) for p in sets])
+        return a if a.ndim == 3 else a[:, None, :]
+
+    stacked = NetworkParams([BlockParams(**{f.name: stack(layer, f.name)
+                                            for f in dataclasses.fields(BlockParams)})
+                             for layer in range(cfg.L)])
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((cfg.n, cfg.d))
+    dout = rng.standard_normal((3, cfg.n, cfg.d))
+    got = list(network_backward(network_forward(x, stacked, cfg), dout))
+    for i, p in enumerate(sets):
+        want = network_backward(network_forward(x, p, cfg), dout[i])
+        for (layer, pairs), (layer_i, pairs_i) in zip(got, want, strict=True):
+            assert layer == layer_i
+            for name, factors in pairs_i.items():
+                for g, w in zip(pairs[name], factors):
+                    assert (g is None and w is None
+                            or np.array_equal(np.broadcast_to(g, (3, *w.shape))[i], w)), name
