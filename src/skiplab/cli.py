@@ -295,18 +295,22 @@ def _check_ranges(command: str, p: dict) -> None:
     ValueError names the key.  Integers must be >= 1, except that the two
     intervals read 0 as "never", mlp_hidden 0 means 4d (see ModelConfig), and
     a one-token softmax is constant, so the token counts it runs over need >= 2.
-    An attention scale must be >= 0, where 0 means sqrt(d/h), except in
-    jacobian-check, which uses it as given and so needs it > 0."""
-    for key, value in p.items():
-        low = (0 if key in ("log_every", "kappa_probe_every", "mlp_hidden")
-               else 2 if (command, key) in (("init-report", "tokens"), ("beta-sweep", "n"))
-               else 1)
-        if SCHEMAS[command][key][0] is int and value < low:
-            raise ValueError(f"{key} must be >= {low}, got {value}")
+    An attention scale must be >= 0 (0 means sqrt(d/h)); jacobian-check uses it
+    as given, so it must be > 0 there.  Every float must be finite."""
     if "scale" in p:
         given = command == "jacobian-check"
         if not (p["scale"] > 0.0 if given else p["scale"] >= 0.0):
             raise ValueError(f"scale must be {'>' if given else '>='} 0, got {p['scale']}")
+    for key, value in p.items():
+        kind = SCHEMAS[command][key][0]
+        low = (0 if key in ("log_every", "kappa_probe_every", "mlp_hidden")
+               else 2 if (command, key) in (("init-report", "tokens"), ("beta-sweep", "n"))
+               else 1)
+        if kind is int and value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+        floats = _betas(value) if key == "betas" else [value] if kind is float else []
+        if not all(map(math.isfinite, floats)):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     if "betas" in p:
         betas = _betas(p["betas"])
         if not betas or len({f"{b:g}" for b in betas}) < len(betas):

@@ -6,10 +6,10 @@ optimizers with decoupled weight decay, and conditioning probes along the loss
 trajectory.  The network head is the simplest thing that exercises the blocks:
 mean-pool the final tokens, apply a linear classifier, cross-entropy.
 
-The training forward is :func:`skiplab.model.network_forward` on the whole
-batch and the backward is :func:`skiplab.model.network_backward` on its
-trace, the same walks whose per-sample runs feed the Jacobians.  Parameters,
-gradients and optimizer moments are flat float64 vectors (:class:`FlatParams`).
+The training forward is :func:`skiplab.model.network_forward` on the batch and
+the backward is :func:`skiplab.model.network_backward` on its trace, the walks
+whose per-sample runs feed the Jacobians.  Parameters, gradients and moments are
+flat float64 vectors (:class:`FlatParams`), stepped in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ OPTIMIZERS = ("sgd_momentum", "adam_decoupled")
 # Adam's moment decay rates (b1, b2) and denominator offset.
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+
+# Optimizer block length: its six 128 KiB slices (p, g, m, v, scratch) fit a 2 MiB L2.
+OPTIMIZER_BLOCK = 16384
 
 # Tensor file layout (little-endian): magic, u32 version, u32 sample_count,
 # u32 n, u32 d, u32 class_count, sample_count*n*d float64 tokens (sample-major,
@@ -82,8 +85,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for key in ("lr", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
@@ -261,13 +265,13 @@ def loss_and_gradients(params: FlatParams, grads: FlatParams, x: np.ndarray,
 
 
 def init_optimizer_state(params: FlatParams, config: TrainConfig) -> dict:
-    """Zeroed moment vectors, two scratch vectors, and the per-element decay
-    factor: 1 - lr*weight_decay on matrices (ndim >= 2), 1.0 on biases."""
+    """Zeroed moment vectors, two scratch vectors of one optimizer block each, and
+    the per-element decay factor: 1 - lr*weight_decay on matrices, 1.0 on biases."""
     factor = 1.0 - config.lr * config.weight_decay
     decay = np.concatenate([np.full(t.size, factor if t.ndim >= 2 else 1.0)
                             for t in params.tensors])
-    state = {"step": 0, "decay": decay,
-             "scratch": (np.empty_like(decay), np.empty_like(decay))}
+    block = min(OPTIMIZER_BLOCK, decay.size)
+    state = {"step": 0, "decay": decay, "scratch": (np.empty(block), np.empty(block))}
     if config.optimizer == "sgd_momentum":
         state["velocity"] = np.zeros_like(decay)
     else:
@@ -284,30 +288,37 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
     p <- p - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), in that order.
     Decoupled weight decay multiplies p by the state's decay factor before
     the gradient step.
+
+    It runs block by block, in slices as long as the scratch vectors, so each
+    block stays in cache for the whole sequence.  Every operation is elementwise
+    with the same scalars, so the result is bit-identical to whole-vector passes.
     """
     t = state["step"] = state["step"] + 1
-    p, g, lr = params.vector, grads.vector, config.lr
-    buf, buf2 = state["scratch"]
-    if config.weight_decay:
-        p *= state["decay"]
-    if config.optimizer == "sgd_momentum":
-        vel = state["velocity"]
-        vel *= config.momentum
-        vel += g
-        p -= np.multiply(vel, lr, out=buf)
-        return
-    b1, b2 = ADAM_BETAS
-    m, v = state["m"], state["v"]
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=buf)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=buf)
-    v += np.multiply(buf, g, out=buf)
-    np.sqrt(np.divide(v, 1.0 - b2**t, out=buf), out=buf)
-    buf += ADAM_EPS
-    np.divide(m, 1.0 - b1**t, out=buf2)
-    buf2 *= lr
-    p -= np.divide(buf2, buf, out=buf2)
+    (b1, b2), lr, block = ADAM_BETAS, config.lr, state["scratch"][0].size
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for lo in range(0, params.vector.size, block):
+        at = slice(lo, lo + block)
+        p, g = params.vector[at], grads.vector[at]
+        buf, buf2 = (s[:p.size] for s in state["scratch"])
+        if config.weight_decay:
+            p *= state["decay"][at]
+        if config.optimizer == "sgd_momentum":
+            vel = state["velocity"][at]
+            vel *= config.momentum
+            vel += g
+            p -= np.multiply(vel, lr, out=buf)
+            continue
+        m, v = state["m"][at], state["v"][at]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=buf)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=buf)
+        v += np.multiply(buf, g, out=buf)
+        np.sqrt(np.divide(v, c2, out=buf), out=buf)
+        buf += ADAM_EPS
+        np.divide(m, c1, out=buf2)
+        buf2 *= lr
+        p -= np.divide(buf2, buf, out=buf2)
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,18 @@ _OUT_OF_RANGE = [
     (["train", "--scale", "nan"], "scale must be >= 0"),
     (["jacobian-check", "--scale", "0"], "scale must be > 0"),
     (["jacobian-check", "--scale", "-1"], "scale must be > 0"),
+    (["train", "--lr", "nan"], "lr must be finite"),
+    (["train", "--noise", "nan"], "noise must be finite"),
+    (["train", "--c", "nan"], "c must be finite"),
+    (["profile", "--scale", "inf"], "scale must be finite"),
+    (["prop1", "--temperature", "inf"], "temperature must be finite"),
+    (["moments", "--beta", "inf"], "beta must be finite"),
+    (["prop1", "--alpha", "nan"], "alpha must be finite"),
+    (["beta-sweep", "--betas", "nan,1"], "betas must be finite"),
+    (["ksplit", "--beta", "nan"], "beta must be finite"),
+    (["jacobian-check", "--tolerance", "nan"], "tolerance must be finite"),
+    (["train", "--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden", "8",
+      "--samples", "8", "--steps", "2", "--weight-decay", "-1"], "weight_decay must be >= 0"),
 ]
 
 

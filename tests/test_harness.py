@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from skiplab import harness
 from skiplab.harness import (Dataset, FlatParams, TensorFileError, TrainConfig,
                              TrainLog, _forward_batch, init_optimizer_state,
                              load_tensor_file, loss_and_gradients, optimizer_step,
@@ -190,6 +192,86 @@ def test_sgd_momentum_two_steps():
     assert x2 == pytest.approx(0.46, abs=1e-15)
 
 
+def whole_vector_step(p, g, state, config):
+    """The unblocked update: each ufunc in one pass over the whole vector."""
+    t = state["step"] = state["step"] + 1
+    lr = config.lr
+    buf, buf2 = np.empty_like(p), np.empty_like(p)
+    if config.weight_decay:
+        p *= state["decay"]
+    if config.optimizer == "sgd_momentum":
+        vel = state["velocity"]
+        vel *= config.momentum
+        vel += g
+        p -= np.multiply(vel, lr, out=buf)
+        return
+    b1, b2 = harness.ADAM_BETAS
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=buf)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=buf)
+    v += np.multiply(buf, g, out=buf)
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=buf), out=buf)
+    buf += harness.ADAM_EPS
+    np.divide(m, 1.0 - b1**t, out=buf2)
+    buf2 *= lr
+    p -= np.divide(buf2, buf, out=buf2)
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 17])  # 1, B-1, B, B+1, 3B+5 at B = 4
+@pytest.mark.parametrize("opt", ["adam_decoupled", "sgd_momentum"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_blocked_step_equals_whole_vector_step(monkeypatch, size, opt, weight_decay):
+    """Five blocked steps leave parameters and moments bit-identical to the
+    whole-vector update, for vectors shorter than, equal to and spanning
+    several uneven blocks; the vector holds a matrix (decayed) and a bias."""
+    monkeypatch.setattr(harness, "OPTIMIZER_BLOCK", 4)
+    rng = np.random.default_rng(size)
+    cfg = toy_train_config(optimizer=opt, lr=0.1, weight_decay=weight_decay)
+    params = head_only(rng.standard_normal((size // 2, 1)), rng.standard_normal(size - size // 2))
+    grads = params.zeros_like()
+    state = init_optimizer_state(params, cfg)
+    assert [b.size for b in state["scratch"]] == [min(4, size)] * 2
+    p = params.vector.copy()
+    oracle = {k: v.copy() for k, v in state.items() if k not in ("step", "scratch")}
+    oracle["step"] = 0
+    moments = ["velocity"] if opt == "sgd_momentum" else ["m", "v"]
+    for _ in range(5):
+        grads.vector[:] = rng.standard_normal(size)
+        optimizer_step(params, grads, state, cfg)
+        whole_vector_step(p, grads.vector, oracle, cfg)
+        assert np.array_equal(params.vector, p)
+        for key in moments:
+            assert np.array_equal(state[key], oracle[key])
+
+
+@pytest.mark.parametrize("opt", ["adam_decoupled", "sgd_momentum"])
+def test_optimizer_state_is_block_sized_at_c9_shape(opt):
+    """At the C9 shape the scratch vectors hold one block, and a step
+    allocates less than one block's bytes: no full-length temporaries."""
+    mc = ModelConfig(L=6, n=8, d=64, h=1, attention_scale=8.0, activation="gelu",
+                     use_skip=False, use_mlp=True, mlp_hidden=128)
+    params = FlatParams(init_network(mc, InitSpec(scheme="proposed", seed=0)),
+                        np.ones((64, 10)), np.zeros(10))
+    assert params.vector.size == 198410
+    cfg = TrainConfig(model=mc, init=InitSpec(scheme="proposed", seed=0),
+                      optimizer=opt, weight_decay=0.1)
+    state = init_optimizer_state(params, cfg)
+    block = min(harness.OPTIMIZER_BLOCK, params.vector.size)
+    assert [b.shape for b in state["scratch"]] == [(block,)] * 2
+    grads = params.zeros_like()
+    grads.vector[:] = 1e-3
+    optimizer_step(params, grads, state, cfg)  # warm up any one-time allocations
+    tracemalloc.start()
+    try:
+        optimizer_step(params, grads, state, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block * 8
+
+
 # --- flat parameter buffer -------------------------------------------------------
 
 def test_flat_params_layout_and_digest():
@@ -301,8 +383,14 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("opt,h", sorted(PINNED_RUNS))
-def test_train_bits_pinned(opt, h):
+@pytest.mark.parametrize("opt,h,block", [
+    pytest.param(opt, h, block, id=f"{opt}-{h}" + (f"-block{block}" if block else ""))
+    for opt, h in sorted(PINNED_RUNS) for block in (None, 7)])
+def test_train_bits_pinned(monkeypatch, opt, h, block):
+    """The blocked optimizer reproduces the pinned runs at the default block
+    and at a block of 7, which splits the vector into many uneven blocks."""
+    if block is not None:
+        monkeypatch.setattr(harness, "OPTIMIZER_BLOCK", block)
     mc = toy_model(h=h, use_skip=False, mlp_hidden=8)
     ds = synth_task(4, 8, 3, 16, 0.1, seed=21)
     cfg = TrainConfig(model=mc, init=InitSpec(scheme="proposed", seed=3),
