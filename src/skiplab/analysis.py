@@ -27,8 +27,9 @@ from dataclasses import replace
 import numpy as np
 
 from .init import InitSpec, init_network
-from .jacobian import (batch_param_jacobian, gauge_free_width, logits_input_jacobian,
-                       mlp_token_blocks, sa_input_jacobian, sa_split, softmax_jacobian)
+from .jacobian import (add_dominant_term, batch_param_jacobian, gauge_free_width,
+                       logits_input_jacobian, mlp_token_blocks, sa_input_jacobian, sa_split,
+                       softmax_jacobian)
 from .linalg import (condition_from_singular_values, condition_number, kron_eye_apply,
                      singular_values, spectral_norm)
 from .model import ModelConfig, network_forward, row_softmax
@@ -139,14 +140,16 @@ def perturbation_split(trace, layer: int) -> dict[str, float]:
     traces sum the per-head terms, E = (M kron I_n) A' (see ``sa_split``).
     With the reduced QR M = QR, Q kron I_n has orthonormal columns, so
     ||E||_2 = ||(R kron I_n) A'||_2 needs only a (min(d, hn) n) x nd SVD.
+    sigma(B) comes first; B is then added into E in place, not held beside it.
     """
-    b, m, a_prime = sa_split(trace, layer)
-    s_b = singular_values(b)
+    g, m, a_prime = sa_split(trace, layer)
+    attention = trace.blocks[layer].sa.attention
+    s_b = singular_values(add_dominant_term(np.zeros((a_prime.shape[1],) * 2), g, attention))
     b_max, b_min = float(s_b[0]), float(s_b[-1])
     e_norm = spectral_norm(kron_eye_apply(np.linalg.qr(m, mode="r"), a_prime))
     return {"e_norm": e_norm, "b_sigma_min": b_min, "b_sigma_max": b_max,
             "kappa_B": condition_from_singular_values(s_b),
-            "kappa_K": condition_number(b + kron_eye_apply(m, a_prime)),
+            "kappa_K": condition_number(add_dominant_term(kron_eye_apply(m, a_prime), g, attention)),
             "dominance_ratio": e_norm / max(b_min, 1e-300)}
 
 
@@ -279,12 +282,17 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     skips each factor carries the +I of the identity path.
     """
     rng = np.random.default_rng(seed)
-    batch = [rng.standard_normal((config.n, config.d)) for _ in range(batch_size)]
+    param_jacobian = (include_param_jacobian
+                      and batch_size * config.n * config.d <= gauge_free_width(config))
+    # Only traced samples are drawn; the first is drawn first either way.
+    batch = [rng.standard_normal((config.n, config.d))
+             for _ in range(batch_size if param_jacobian else 1)]
+    infinite = {"kappa_J": float("inf")} if include_param_jacobian and not param_jacobian else {}
     profiles = {}
     for regime, use_skip in REGIMES.items():
         scheme = "proposed" if regime.endswith("proposed") else "default"
         cfg = replace(config, use_skip=use_skip)
         params = init_network(cfg, replace(spec, scheme=scheme))
-        profiles[regime] = condition_profile_for_params(
-            params, cfg, batch, include_param_jacobian=include_param_jacobian)
+        profiles[regime] = [metrics | infinite for metrics in condition_profile_for_params(
+            params, cfg, batch, param_jacobian)]
     return profiles

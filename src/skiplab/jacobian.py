@@ -31,8 +31,9 @@ stack of m samples is informative only while m*n*d <= 4d^2 - 2d^2/h.  For
 kappa(J) the stack is built without those columns
 (:func:`batch_param_jacobian`), in coordinates where C C^T = J J^T.
 
-Note the left factor of K: (X G kron I_n)^T and ((X G)^T kron I_n) are the
-same matrix, so the two typographic variants of the formula agree.
+K is built in place (:func:`sa_input_jacobian`): A' into one (h n^2) x nd buffer, then
+E = (M kron I_n) A' as K's own, then B = sum_i G_i^T kron A_i added n rows at a time.  No
+nd x nd temporary lives beside K, and K has the bits of B summed alone plus E.
 
 The finite-difference oracle's ``f`` maps a (k, p) stack of points to a
 (k, q) stack of values, and is called once per chunk of ``FD_CHUNK``
@@ -112,14 +113,15 @@ def logits_input_jacobian(x: np.ndarray, p: np.ndarray, scale: float = 1.0) -> n
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    eye_n = np.eye(n)
-    left = kron((x @ p.T), eye_n)
-    right = kron(eye_n, (x @ p))[:, commutation_permutation(d, n)]
-    return (left + right) / scale
+    # The right term first, so that its unpermuted kron is freed before the
+    # left's; take() keeps C order, which fixes how BLAS rounds A'.
+    out = kron(np.eye(n), (x @ p)).take(commutation_permutation(d, n), axis=1)
+    out += kron((x @ p.T), np.eye(n))
+    return np.divide(out, scale, out=out)
 
 
-def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> np.ndarray:
-    """A' for one head, n^2 x nd: softmax Jacobian chained with the logits Jacobian."""
+def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int, out=None) -> np.ndarray:
+    """A' for one head, n^2 x nd, into ``out`` if given: softmax times logits Jacobian."""
     cfg = trace.config
     bt = trace.blocks[layer]
     bp = trace.params.blocks[layer]
@@ -127,31 +129,45 @@ def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int) -> np.n
     p = w_q @ w_k.T
     ja = softmax_jacobian(bt.sa.attention[head])
     jm = logits_input_jacobian(bt.x_in, p, cfg.attention_scale)
-    return ja @ jm
+    return np.matmul(ja, jm, out=out)
 
 
-def sa_split(trace: ForwardTrace, layer: int,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K = B + (M kron I_n) A' for one layer, as (B, M, A'): with
-    G_i = W_V,i W_O,i, B = sum_i G_i^T kron A_i, M = [(X G_1)^T ... (X G_h)^T]
-    is d x hn and A' stacks the per-head A'_i (h n^2 x nd)."""
+def sa_split(trace: ForwardTrace, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, M, A') of K = B + (M kron I_n) A' at one layer: G stacks the G_i = W_V,i W_O,i of
+    B = sum_i G_i^T kron A_i, M = [(X G_1)^T ... (X G_h)^T] is d x hn, and A' (h n^2 x nd)
+    is written head by head into one buffer, beside which one head's n^2 x n^2 softmax
+    Jacobian and two n^2 x nd logits pieces are live."""
     cfg = trace.config
     _check_nd(cfg.n * cfg.d)
     bt = trace.blocks[layer]
     bp = trace.params.blocks[layer]
     g = split_heads(bp.W_V, cfg.h) @ split_heads(bp.W_O.T, cfg.h).swapaxes(-1, -2)
-    b = np.zeros((cfg.n * cfg.d, cfg.n * cfg.d))
-    for g_i, a_i in zip(g, bt.sa.attention):
-        b += kron(g_i.T, a_i)
-    a_prime = [attention_input_jacobian(trace, layer, i) for i in range(cfg.h)]
-    return b, np.hstack((bt.x_in @ g).swapaxes(-1, -2)), np.vstack(a_prime)
+    check_budget(cfg.h * cfg.n * cfg.n, cfg.n * cfg.d)
+    a_prime = np.empty((cfg.h * cfg.n * cfg.n, cfg.n * cfg.d))
+    for i, rows in enumerate(np.split(a_prime, cfg.h)):
+        attention_input_jacobian(trace, layer, i, out=rows)
+    return g, np.hstack((bt.x_in @ g).swapaxes(-1, -2)), a_prime
+
+
+def add_dominant_term(k: np.ndarray, g: np.ndarray, attention: np.ndarray) -> np.ndarray:
+    """k += B = sum_i G_i^T kron A_i in place, n rows (from row j of each G_i^T)
+    at a time, as np.kron's products summed ((0.0 + k_1) + ... + k_h): the +0.0
+    turns -0.0 into +0.0 as a zero-filled accumulator of B would."""
+    h, n = attention.shape[:2]
+    g_rows, a = g.swapaxes(-1, -2)[:, :, None, :, None], attention[:, :, None, :]
+    for j in range(g.shape[-1]):  # (i, t, c, s): G_i^T[j, c] A_i[t, s] at (j*n + t, c*n + s)
+        k[j * n:(j + 1) * n] += sum((g_rows[:, j] * a).reshape(h, n, -1), 0.0)
+    return k
 
 
 def sa_input_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:
-    """K for one layer: per-head ((X G_i)^T kron I_n) A'_i + G_i^T kron A_i, summed."""
-    b, m, a_prime = sa_split(trace, layer)
-    b += kron_eye_apply(m, a_prime)
-    return b
+    """K = sum_i ((X G_i)^T kron I_n) A'_i + G_i^T kron A_i at one layer: A', then
+    E = (M kron I_n) A' as the result, then (A' dropped) B added by block rows.  Beside K
+    only A' or one n x nd block row is live."""
+    g, m, a_prime = sa_split(trace, layer)
+    k = kron_eye_apply(m, a_prime)
+    del a_prime
+    return add_dominant_term(k, g, trace.blocks[layer].sa.attention)
 
 
 def mlp_token_blocks(trace: ForwardTrace, layer: int) -> np.ndarray:
@@ -187,10 +203,11 @@ def _attention_rows(pairs: dict) -> np.ndarray:
 
 
 def _cotangent_stack(trace: ForwardTrace) -> np.ndarray:
-    """The nd unit cotangents unvec(I_nd), an (nd, n, d) stack."""
+    """The nd unit cotangents unvec(I_nd), an (nd, n, d) stack: E_{i + jn} = e_i e_j^T is
+    entry (j, i, i', j') = [i = i'][j = j'] of the product of I_d and I_n, one nd^2 array."""
     n, d = trace.config.n, trace.config.d
     _check_nd(n * d)
-    return unvec(np.eye(n * d), n, d)
+    return (np.eye(d)[:, None, None, :] * np.eye(n)[:, :, None]).reshape(n * d, n, d)
 
 
 def sa_param_jacobian(trace: ForwardTrace, layer: int) -> np.ndarray:

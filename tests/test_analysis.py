@@ -14,6 +14,7 @@ from skiplab.init import InitSpec, init_network
 from skiplab.jacobian import block_chain_jacobian, gauge_free_width
 from skiplab.linalg import condition_number, kron, spectral_norm
 from skiplab.model import ModelConfig, NetworkParams, network_forward, row_softmax
+from conftest import traced_peak
 
 
 # --- Prop. 1 softmax conditioning --------------------------------------------
@@ -383,6 +384,24 @@ def test_profile_param_jacobian_past_gauge_free_width_is_infinite(monkeypatch):
             j = np.vstack([block_chain_jacobian(t, layer) for t in traces])
             assert j.shape == (192, 256)
             assert condition_number(j) == np.inf, (use_skip, scheme, layer)
+
+
+@pytest.mark.parametrize("include_param_jacobian", [False, True])
+def test_profile_draws_only_traced_samples(include_param_jacobian):
+    """With kappa(J) off, or INFINITE by structure (batch * nd past the
+    gauge-free width), only the first sample is traced, and only it is drawn:
+    a 20000-sample batch, 20 MB of draws, keeps the traced peak under a tenth
+    of that, and the metrics are those of a 5-sample batch."""
+    cfg = ModelConfig(L=1, n=8, d=16, h=1, attention_scale=4.0, use_skip=False,
+                      mlp_hidden=16)
+    spec, big = InitSpec(seed=3), 20_000
+    assert 5 * cfg.n * cfg.d > gauge_free_width(cfg)
+
+    def profile(batch_size):
+        return layer_condition_profile(cfg, spec, batch_size, 4, include_param_jacobian)
+
+    assert traced_peak(lambda: profile(big)) < big * cfg.n * cfg.d * 8 / 10
+    assert profile(big) == profile(5)
 
 
 @pytest.mark.parametrize("use_skip", [True, False])

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from skiplab.harness import (Dataset, FlatParams, TensorFileError, TrainConfig,
 from skiplab.init import InitSpec, init_network
 from skiplab.jacobian import finite_difference_jacobian
 from skiplab.model import BlockParams, ModelConfig, NetworkParams, network_forward
+from conftest import traced_peak
 
 
 def toy_model(**kw):
@@ -263,12 +263,7 @@ def test_optimizer_state_is_block_sized_at_c9_shape(opt):
     grads = params.zeros_like()
     grads.vector[:] = 1e-3
     optimizer_step(params, grads, state, cfg)  # warm up any one-time allocations
-    tracemalloc.start()
-    try:
-        optimizer_step(params, grads, state, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: optimizer_step(params, grads, state, cfg))
     assert peak < block * 8
 
 

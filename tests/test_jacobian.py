@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import skiplab.jacobian
 import skiplab.linalg
+from skiplab.analysis import perturbation_split
 from skiplab.harness import _stacked_outer
 from skiplab.init import InitSpec, init_network
 from skiplab.jacobian import (ATTENTION_WEIGHTS, FD_CHUNK, FD_STEP, MAX_ND,
@@ -20,12 +21,13 @@ from skiplab.jacobian import (ATTENTION_WEIGHTS, FD_CHUNK, FD_STEP, MAX_ND,
                               relative_frobenius, sa_input_jacobian,
                               sa_param_jacobian, softmax_jacobian,
                               with_attention_params)
-from skiplab.linalg import (BudgetError, commutation_permutation, condition_number,
-                            kron, kron_eye_apply, singular_values, spectral_norm, unvec,
-                            vec)
+from skiplab.linalg import (BudgetError, commutation_permutation,
+                            condition_from_singular_values, condition_number, kron,
+                            kron_eye_apply, singular_values, spectral_norm, unvec, vec)
 from skiplab.model import (ACTIVATIONS, BlockParams, ModelConfig, NetworkParams,
                            activation_derivative, attention_backward, network_backward,
-                           network_forward, row_softmax)
+                           network_forward, row_softmax, split_heads)
+from conftest import traced_peak
 from test_model import random_params, small_config
 
 
@@ -255,6 +257,73 @@ def test_softmax_jacobian_checks_budget_before_allocating(monkeypatch):
     monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", 4 ** 4 - 1)
     with pytest.raises(BudgetError):
         sa_input_jacobian(trace, 0)
+
+
+def _composed_k_factors(trace, layer):
+    """(B, M, A') composed densely, as K was built before it was built in place:
+    B summed into a zero-filled nd x nd array one full kron per head, and A'
+    stacked from each head's softmax Jacobian times (left + right) / s."""
+    cfg = trace.config
+    n, d = cfg.n, cfg.d
+    bt, bp = trace.blocks[layer], trace.params.blocks[layer]
+    g = split_heads(bp.W_V, cfg.h) @ split_heads(bp.W_O.T, cfg.h).swapaxes(-1, -2)
+    b = np.zeros((n * d, n * d))
+    for g_i, a_i in zip(g, bt.sa.attention):
+        b += kron(g_i.T, a_i)
+    a_prime = []
+    for i in range(cfg.h):
+        p = split_heads(bp.W_Q, cfg.h)[i] @ split_heads(bp.W_K, cfg.h)[i].T
+        left = kron(bt.x_in @ p.T, np.eye(n))
+        right = kron(np.eye(n), bt.x_in @ p)[:, commutation_permutation(d, n)]
+        a_prime.append(softmax_jacobian(bt.sa.attention[i])
+                       @ ((left + right) / cfg.attention_scale))
+    return b, np.hstack((bt.x_in @ g).swapaxes(-1, -2)), np.vstack(a_prime)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), d_h=st.integers(1, 3), std=st.sampled_from([0.4, 3.0]),
+       seed=st.integers(0, 2**16))
+@example(n=4, d_h=2, std=3.0, seed=0)  # layer 1 saturates: exact zeros in A and A'
+def test_property_k_builds_bit_identical_to_composed_oracle(h, use_skip, n, d_h, std, seed):
+    """K built in place has the bits of B + (M kron I_n) A' composed densely,
+    signs of zero included, and perturbation_split's metrics are the composed
+    formula's, at every layer of skip and skipless traces."""
+    cfg = small_config(L=2, n=n, d=h * d_h, h=h, use_skip=use_skip, attention_scale=1.3)
+    params = random_params(cfg, seed=seed, std=std)
+    x = np.random.default_rng(seed + 1).standard_normal((n, cfg.d))
+    trace = network_forward(x, params, cfg)
+    for layer in range(cfg.L):
+        b, m, a_prime = _composed_k_factors(trace, layer)
+        k = sa_input_jacobian(trace, layer)
+        assert k.shape == b.shape
+        assert _bits(k) == _bits(b + kron_eye_apply(m, a_prime)), layer
+        s_b = singular_values(b)
+        e_norm = spectral_norm(kron_eye_apply(np.linalg.qr(m, mode="r"), a_prime))
+        assert perturbation_split(trace, layer) == {
+            "e_norm": e_norm, "b_sigma_min": float(s_b[-1]), "b_sigma_max": float(s_b[0]),
+            "kappa_B": condition_from_singular_values(s_b),
+            "kappa_K": condition_number(b + kron_eye_apply(m, a_prime)),
+            "dominance_ratio": e_norm / max(float(s_b[-1]), 1e-300)}, layer
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_k_builds_hold_no_second_nd_square(h):
+    """At nd = 512, K and its perturbation split hold no nd x nd temporary
+    beside K (and, for the split, B's SVD input): the traced peak, which
+    includes K and A' (h n^2 x nd), stays below 1.5 nd^2 floats."""
+    cfg = ModelConfig(L=1, n=8, d=64, h=h, attention_scale=8.0, use_skip=False,
+                      use_mlp=False)
+    params = random_params(small_config(L=1, n=8, d=64, h=h), seed=5, std=0.1)
+    trace = network_forward(np.random.default_rng(6).standard_normal((8, 64)), params, cfg)
+    k_bytes = (cfg.n * cfg.d) ** 2 * 8
+    assert traced_peak(lambda: sa_input_jacobian(trace, 0)) < 1.5 * k_bytes
+    assert traced_peak(lambda: perturbation_split(trace, 0)) < 1.5 * k_bytes
 
 
 def test_param_jacobian_stack_checks_budget_before_any_backward(monkeypatch):
@@ -658,6 +727,15 @@ def test_chain_calls_no_input_jacobian_or_kron(monkeypatch):
     block_chain_jacobian(traces[0], 0)
     assert [layer for layer, _ in batch_param_jacobian(traces)] == [2, 1, 0]
     assert calls == []
+
+
+def test_cotangent_stack_is_unvec_identity():
+    """The unit cotangents are unvec(I_nd) bit for bit, in C order."""
+    cfg = small_config(L=1, n=5, d=3, h=1)
+    trace = network_forward(np.zeros((5, 3)), random_params(cfg), cfg)
+    got = skiplab.jacobian._cotangent_stack(trace)
+    assert got.flags.c_contiguous
+    assert _bits(got) == _bits(unvec(np.eye(15), 5, 3))
 
 
 def test_chain_layer_out_of_range():
