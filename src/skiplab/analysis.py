@@ -232,15 +232,14 @@ REGIMES = {"skip_default": True, "skipless_default": False,
            "skipless_proposed": False}  # regime -> use_skip
 
 
-def condition_profile_for_params(params, config: ModelConfig, batch: list[np.ndarray],
+def condition_profile_for_params(params, config: ModelConfig, batch: np.ndarray,
                                  include_param_jacobian: bool = True) -> list[dict]:
-    """Per-layer kappa(K), kappa(K+I), kappa(K-hat) of the first batch
-    sample's trace and optionally kappa(J) of the whole batch, for one fixed
-    parameter set: one metrics dict per layer.  Each sample is traced once;
-    kappa(J) of every layer comes from one backward sweep per sample, which
-    builds no K, so each K is built once, for the dense nd x nd SVDs of
-    kappa(K) and kappa(K+I).  kappa(K-hat) comes from its n per-token d x d
-    blocks.
+    """Per-layer kappa(K), kappa(K+I), kappa(K-hat) of the first sample's trace
+    and optionally kappa(J) of the whole (m, n, d) batch, for one fixed
+    parameter set: one metrics dict per layer.  kappa(J) of every layer comes
+    from one forward and one backward sweep over the batch, which builds no K,
+    so each K is built once, for the dense nd x nd SVDs of kappa(K) and
+    kappa(K+I).  kappa(K-hat) comes from its n per-token d x d blocks.
 
     Pure measurement: neither params nor batch are modified.  Note kappa(J)
     is informative only while m*n*d <= 4d^2 - 2d^2/h: the query/key and
@@ -250,20 +249,18 @@ def condition_profile_for_params(params, config: ModelConfig, batch: list[np.nda
     backward or an SVD; an SVD of the tall gauge-free stack would return a
     finite kappa.
     """
-    param_jacobian = (include_param_jacobian
-                      and len(batch) * config.n * config.d <= gauge_free_width(config))
-    traces = [network_forward(x, params, config)
-              for x in (batch if param_jacobian else batch[:1])]
     kappa_j = dict.fromkeys(range(config.L), float("inf"))
-    if param_jacobian:
-        kappa_j = {layer: condition_number(c) for layer, c in batch_param_jacobian(traces)}
+    if include_param_jacobian and len(batch) * config.n * config.d <= gauge_free_width(config):
+        kappa_j = {layer: condition_number(c) for layer, c in
+                   batch_param_jacobian(network_forward(batch, params, config))}
+    trace = network_forward(batch[0], params, config)
     profile = []
     for layer in range(config.L):
-        k = sa_input_jacobian(traces[0], layer)
+        k = sa_input_jacobian(trace, layer)
         metrics = {"kappa_K": condition_number(k)}
         k[np.diag_indices_from(k)] += 1.0
         metrics["kappa_K_plus_I"] = condition_number(k)
-        metrics["kappa_Khat"] = condition_number(mlp_token_blocks(traces[0], layer))
+        metrics["kappa_Khat"] = condition_number(mlp_token_blocks(trace, layer))
         if include_param_jacobian:
             metrics["kappa_J"] = kappa_j[layer]
         profile.append(metrics)
@@ -277,22 +274,21 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     """Per-layer conditioning under skip+default / skipless+default /
     skipless+proposed: each regime's ``condition_profile_for_params``.
 
-    All regimes see the same Gaussian input batch and the same master init
-    seed.  kappa(J_l) routes through the regime's own chain factors: with
-    skips each factor carries the +I of the identity path.
+    All regimes see the same Gaussian input batch and master init seed; the
+    default regimes share one weight set, as the init ignores skips.  kappa(J_l)
+    routes through the regime's own chain factors: with skips each factor
+    carries the +I of the identity path.
     """
-    rng = np.random.default_rng(seed)
     param_jacobian = (include_param_jacobian
                       and batch_size * config.n * config.d <= gauge_free_width(config))
-    # Only traced samples are drawn; the first is drawn first either way.
-    batch = [rng.standard_normal((config.n, config.d))
-             for _ in range(batch_size if param_jacobian else 1)]
+    # Only traced samples are drawn.
+    batch = np.random.default_rng(seed).standard_normal(
+        (batch_size if param_jacobian else 1, config.n, config.d))
     infinite = {"kappa_J": float("inf")} if include_param_jacobian and not param_jacobian else {}
+    weights = {s: init_network(config, replace(spec, scheme=s)) for s in ("default", "proposed")}
     profiles = {}
     for regime, use_skip in REGIMES.items():
-        scheme = "proposed" if regime.endswith("proposed") else "default"
-        cfg = replace(config, use_skip=use_skip)
-        params = init_network(cfg, replace(spec, scheme=scheme))
+        params = weights["proposed" if regime.endswith("proposed") else "default"]
         profiles[regime] = [metrics | infinite for metrics in condition_profile_for_params(
-            params, cfg, batch, param_jacobian)]
+            params, replace(config, use_skip=use_skip), batch, param_jacobian)]
     return profiles

@@ -8,7 +8,7 @@ mean-pool the final tokens, apply a linear classifier, cross-entropy.
 
 The training forward is :func:`skiplab.model.network_forward` on the batch and
 the backward is :func:`skiplab.model.network_backward` on its trace, the walks
-whose per-sample runs feed the Jacobians.  Parameters, gradients and moments are
+that feed the Jacobians too.  Parameters, gradients and moments are
 flat float64 vectors (:class:`FlatParams`), stepped in cache-sized blocks.
 """
 
@@ -27,7 +27,8 @@ from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
 
 OPTIMIZERS = ("sgd_momentum", "adam_decoupled")
 
-# Adam's moment decay rates (b1, b2) and denominator offset.
+# sgd_momentum's velocity decay; Adam's moment decay rates (b1, b2) and denominator offset.
+SGD_MOMENTUM = 0.9
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
@@ -78,7 +79,6 @@ class TrainConfig:
     optimizer: str = "adam_decoupled"
     lr: float = 1e-3
     weight_decay: float = 0.0
-    momentum: float = 0.9
     steps: int = 100
     batch_size: int = 16
     kappa_probe_every: int = 0  # 0 = never
@@ -283,7 +283,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
                    config: TrainConfig) -> None:
     """One update of ``params.vector`` and ``state``, in place.
 
-    sgd_momentum: v <- momentum*v + g; p <- p - lr*v.
+    sgd_momentum: v <- SGD_MOMENTUM*v + g; p <- p - lr*v.
     adam_decoupled: m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
     p <- p - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), in that order.
     Decoupled weight decay multiplies p by the state's decay factor before
@@ -304,7 +304,7 @@ def optimizer_step(params: FlatParams, grads: FlatParams, state: dict,
             p *= state["decay"][at]
         if config.optimizer == "sgd_momentum":
             vel = state["velocity"][at]
-            vel *= config.momentum
+            vel *= SGD_MOMENTUM
             vel += g
             p -= np.multiply(vel, lr, out=buf)
             continue
@@ -356,13 +356,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainLog:
     log = TrainLog()
     size = len(dataset)
     batch_size = min(config.batch_size, size)
+    probe_input = np.random.default_rng(config.seed).standard_normal((1, mc.n, mc.d))
     for step in range(config.steps):
         idx = rng.choice(size, size=batch_size, replace=False)
         try:
             if config.kappa_probe_every and step % config.kappa_probe_every == 0:
-                probe_input = np.random.default_rng(config.seed).standard_normal((mc.n, mc.d))
                 log.probes.append((step, condition_profile_for_params(
-                    params.network, mc, [probe_input], include_param_jacobian=False)))
+                    params.network, mc, probe_input, include_param_jacobian=False)))
             loss = loss_and_gradients(params, grads, dataset.tokens[idx],
                                       dataset.labels[idx].astype(int), mc)
         except DivergenceError as exc:

@@ -273,8 +273,8 @@ def _gauge_frames(bp: BlockParams, h: int) -> tuple:
 
 
 def _gauge_free_rows(pairs: dict, frames: tuple, h: int) -> np.ndarray:
-    """Row r: the attention gradients for cotangent r in gauge-free
-    coordinates, :func:`gauge_free_width` columns.
+    """Row s*nd + r: sample s's attention gradients for cotangent r, from a
+    backward's (nd, m, n, d) pairs, in :func:`gauge_free_width` gauge-free columns.
 
     With the frames of :func:`_gauge_frames`, head i's gradients rotate to
     Q~ = U_Q^T dW_Q R_K, K~ = U_K^T dW_K R_Q, V~ = U_V^T dW_V P_O and
@@ -286,9 +286,10 @@ def _gauge_free_rows(pairs: dict, frames: tuple, h: int) -> np.ndarray:
     """
     ((u_q, r_k), (u_k, r_q), (u_v, p_o), (r_v, u_o)), ((c_q, c_k), (c_v, c_o)) = frames
     (x, dq), (_, dk), (_, dv), (o, dout) = (pairs[w] for w in ATTENTION_WEIGHTS)
+    x = x[..., None, :, :]  # a head axis, to broadcast against the frames'
 
     def rotated(inp, right, cot, left):
-        # (inp @ right)^T (cot @ left), per cotangent and head: (m, h, ., .).
+        # (inp @ right)^T (cot @ left), per cotangent, sample and head.
         return (inp @ right).swapaxes(-1, -2) @ (cot @ left)
 
     q = rotated(x, u_q, split_heads(dq, h), r_k)
@@ -296,36 +297,35 @@ def _gauge_free_rows(pairs: dict, frames: tuple, h: int) -> np.ndarray:
     k_t = (split_heads(dk, h) @ r_q).swapaxes(-1, -2) @ (x @ u_k)
     v = rotated(x, u_v, split_heads(dv, h), p_o)
     # Every head's W_O gradient reads the whole cotangent.
-    o = rotated(split_heads(o, h), r_v, dout[:, None], u_o)
+    o = rotated(split_heads(o, h), r_v, dout[..., None, :, :], u_o)
     d_h = c_q.shape[-1]
     pieces = (c_q * q[..., :d_h, :] + c_k * k_t[..., :d_h],
               q[..., d_h:, :], k_t[..., d_h:],
               c_v * v[..., :d_h, :] + c_o * o[..., :d_h],
               v[..., d_h:, :], o[..., d_h:])
-    return np.concatenate([t.reshape(len(dq), -1) for t in pieces], axis=1)
+    rows, m = dq.shape[:2]
+    # Sample-major rows, written in place: no second copy of the stack.
+    out = np.empty((m, rows, sum(t[0, 0].size for t in pieces)))
+    np.concatenate([t.reshape(rows, m, -1) for t in pieces], axis=-1, out=out.swapaxes(0, 1))
+    return out.reshape(m * rows, -1)
 
 
-def batch_param_jacobian(traces: list[ForwardTrace]) -> Iterator[tuple[int, np.ndarray]]:
+def batch_param_jacobian(trace: ForwardTrace) -> Iterator[tuple[int, np.ndarray]]:
     """Per layer, (layer, C) with C the (m*n*d) x gauge_free_width stack of
-    the m per-sample chain Jacobians in gauge-free coordinates, vertically in
-    sample order: C C^T = J J^T for the stack J of the chain Jacobians, so C
-    has J's singular values (see the module docstring).  One backward per
-    trace on the unit cotangents, layers yielded last first; the traces are
-    samples of one network, whose weight frames are taken once per layer.
-    A stack over the ``linalg`` element budget raises before any backward."""
-    if not traces:
-        raise ValueError("batch must contain at least one sample")
-    cfg, blocks = traces[0].config, traces[0].params.blocks
-    check_budget(len(traces) * cfg.n * cfg.d, gauge_free_width(cfg))
-    eye = _cotangent_stack(traces[0])
-    for steps in zip(*(network_backward(t, eye) for t in traces)):
-        layer = steps[0][0]
-        frames = _gauge_frames(blocks[layer], cfg.h)
-        stacked = layer, np.vstack([_gauge_free_rows(pairs, frames, cfg.h)
-                                    for _, pairs in steps])
-        # Drop the per-sample cotangents before the caller holds the stack.
-        del steps
-        yield stacked
+    the chain Jacobians of the m samples of an (m, n, d) batch trace, in
+    gauge-free coordinates, sample s in rows s*nd to (s+1)*nd - 1: C C^T = J J^T
+    for the stack J of the chain Jacobians, so C has J's singular values (see
+    the module docstring).  One backward on the nd unit cotangents, shaped
+    (nd, 1, n, d) to broadcast against the samples; layers yielded last
+    first.  A stack over the ``linalg`` element budget raises before the
+    backward."""
+    cfg, x0 = trace.config, trace.x0
+    if x0.ndim != 3 or not len(x0):
+        raise ValueError("batch must be an (m, n, d) stack of at least one sample")
+    check_budget(len(x0) * cfg.n * cfg.d, gauge_free_width(cfg))
+    for layer, pairs in network_backward(trace, _cotangent_stack(trace)[:, None]):
+        yield layer, _gauge_free_rows(pairs, _gauge_frames(trace.params.blocks[layer], cfg.h),
+                                      cfg.h)
 
 
 def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],

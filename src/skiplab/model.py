@@ -14,9 +14,9 @@ by ``attention_scale``.  Heads are one tensor axis, laid out by
 :func:`network_forward` is the only walk over the layers, for one (n, d)
 sample or a (..., n, d) batch, and :func:`network_backward` its reverse twin:
 the trainer runs it on its batched trace and the loss cotangent, the parameter
-Jacobians on a per-sample trace and unit cotangents.  :func:`self_attention`,
-:func:`mlp_forward` and :func:`attention_backward` are the block's only
-implementation.
+Jacobians on a sample's or a batch's trace and unit cotangents.
+:func:`self_attention`, :func:`mlp_forward` and :func:`attention_backward` are
+the block's only implementation.
 
 A block's weights may carry leading stack axes too, (..., d, d) for W_Q, W_K,
 W_V and W_O, which broadcast with the token batch: the finite-difference
@@ -208,7 +208,7 @@ def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> A
     batch, so ``o`` takes the broadcast shape of q, k and v.
     """
     q, k, v = (split_heads(x @ w, config.h) for w in (params.W_Q, params.W_K, params.W_V))
-    a = row_softmax((q @ k.swapaxes(-1, -2)) / config.attention_scale)
+    a = row_softmax(q @ k.swapaxes(-1, -2), config.attention_scale)
     o = merge_heads(a @ v)
     return Attention(o @ params.W_O, q, k, v, o, a)
 
@@ -293,11 +293,14 @@ def network_backward(trace: ForwardTrace, cotangent: np.ndarray) -> Iterator[tup
                 cfg.activation, bt.mlp.pre, bt.mlp.cdf)
             pairs = {"mlp_W1": (bt.post_attention, dpre), "mlp_b1": (None, dpre),
                      "mlp_W2": (bt.mlp.act, dx), "mlp_b2": (None, dx)}
-            dx_attn = dpre @ bp.mlp_W1.swapaxes(-1, -2) + (dx if cfg.use_skip else 0.0)
+            dx_attn = dpre @ bp.mlp_W1.swapaxes(-1, -2)
+            if cfg.use_skip:
+                dx_attn += dx
         pairs.update(attention_backward(bt, bp, cfg, dx_attn))
         yield layer, pairs
         if layer:
             dx = (pairs["W_Q"][1] @ bp.W_Q.swapaxes(-1, -2)
                   + pairs["W_K"][1] @ bp.W_K.swapaxes(-1, -2)
-                  + pairs["W_V"][1] @ bp.W_V.swapaxes(-1, -2)
-                  + (dx_attn if cfg.use_skip else 0.0))
+                  + pairs["W_V"][1] @ bp.W_V.swapaxes(-1, -2))
+            if cfg.use_skip:
+                dx += dx_attn

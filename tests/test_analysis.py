@@ -312,7 +312,7 @@ def test_condition_profile_for_params_pure():
     cfg = ModelConfig(L=1, n=4, d=8, h=1, use_mlp=True, mlp_hidden=8)
     params = init_network(cfg, InitSpec(seed=16))
     snapshot = [b.W_Q.copy() for b in params.blocks]
-    batch = [np.random.default_rng(17).standard_normal((4, 8))]
+    batch = np.random.default_rng(17).standard_normal((1, 4, 8))
     condition_profile_for_params(params, cfg, batch, include_param_jacobian=False)
     for before, block in zip(snapshot, params.blocks):
         assert np.array_equal(before, block.W_Q)
@@ -337,7 +337,7 @@ def test_profile_param_jacobian_builds_no_kron(monkeypatch):
                       mlp_hidden=4)
     params = init_network(cfg, InitSpec(scheme="proposed", seed=0))
     rng = np.random.default_rng(1)
-    batch = [rng.standard_normal((3, 4)) for _ in range(2)]
+    batch = rng.standard_normal((2, 3, 4))
     assert len(batch) * cfg.n * cfg.d <= gauge_free_width(cfg)  # kappa(J) is computed
     counts = []
     for include in (True, False):
@@ -415,7 +415,7 @@ def test_profile_kappa_j_matches_full_j_at_gauge_free_width(n, d, h, batch_size,
                       use_skip=use_skip)
     params = random_params(cfg, seed=8, std=0.5)
     rng = np.random.default_rng(9)
-    batch = [rng.standard_normal((n, d)) for _ in range(batch_size)]
+    batch = rng.standard_normal((batch_size, n, d))
     traces = [network_forward(x, params, cfg) for x in batch]
     for layer, metrics in enumerate(condition_profile_for_params(params, cfg, batch)):
         j = np.vstack([block_chain_jacobian(t, layer) for t in traces])

@@ -9,6 +9,8 @@ tracer without changing it and check both against the package.
 import importlib
 import importlib.util
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from skiplab.harness import TrainConfig, synth_task
 from skiplab.init import InitSpec, init_network
 from skiplab.model import ModelConfig
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACER = REPO / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -68,27 +71,55 @@ def test_traced_training_runs_the_model_forward():
 
 
 def test_traced_profile_traces_each_sample_once():
-    """A profile traces each batch sample once and builds each K once, for
-    the kappa(K) rows of the first sample: the kappa(J) backward builds no K
-    and no K-hat.  Without kappa(J) only the first sample is traced."""
+    """A profile runs two forwards with kappa(J), at any batch size: the
+    first sample's, for the kappa(K) rows, and the whole batch's, for the one
+    kappa(J) backward, which builds no K and no K-hat.  Each K is built once.
+    Without kappa(J) only the first sample is traced."""
     from skiplab.analysis import condition_profile_for_params
-    layers, batch_size = 4, 2
+    layers = 4
     mc = ModelConfig(L=layers, n=4, d=8, h=2, attention_scale=2.0,
                      use_skip=False, mlp_hidden=8)
     params = init_network(mc, InitSpec(scheme="proposed", seed=0))
-    rng = np.random.default_rng(2)
-    batch = [rng.standard_normal((mc.n, mc.d)) for _ in range(batch_size)]
     tracer = load_tracer()
-    with tracer.Tracer() as t:
-        profile = condition_profile_for_params(params, mc, batch)
-    table = t.span_table()
-    assert len(profile) == layers
-    assert table["model.network_forward"]["calls"] == batch_size
-    assert table["jacobian.sa_input_jacobian"]["calls"] == layers
-    assert table.get("jacobian.mlp_input_jacobian", {"calls": 0})["calls"] == 0
-    with tracer.Tracer() as t:
-        condition_profile_for_params(params, mc, batch, include_param_jacobian=False)
-    assert t.span_table()["model.network_forward"]["calls"] == 1
+    for batch_size in (1, 3):
+        batch = np.random.default_rng(2).standard_normal((batch_size, mc.n, mc.d))
+        with tracer.Tracer() as t:
+            profile = condition_profile_for_params(params, mc, batch)
+        table = t.span_table()
+        assert len(profile) == layers
+        assert table["model.network_forward"]["calls"] == 2
+        assert table["jacobian.batch_param_jacobian"]["calls"] == 1
+        assert table["jacobian.sa_input_jacobian"]["calls"] == layers
+        assert table.get("jacobian.mlp_input_jacobian", {"calls": 0})["calls"] == 0
+        with tracer.Tracer() as t:
+            condition_profile_for_params(params, mc, batch, include_param_jacobian=False)
+        assert t.span_table()["model.network_forward"]["calls"] == 1
+
+
+def test_profile_builds_one_weight_set_per_scheme():
+    """skip_default and skipless_default profile the same weights, so a
+    profile initializes two networks, not three."""
+    from skiplab.analysis import layer_condition_profile
+    mc = ModelConfig(L=2, n=3, d=4, h=2, mlp_hidden=4)
+    with load_tracer().Tracer() as t:
+        layer_condition_profile(mc, InitSpec(seed=0), 1, 0)
+    assert t.span_table()["init.init_network"]["calls"] == 2
+
+
+def test_benchmark_selftests_that_pin_program_names_and_counts_pass():
+    """The benchmark self-tests that read the program: every workload and
+    metric is declared, and the tracer reaches aliased and call-time-imported
+    functions with the pinned call counts.  They run in a subprocess, since
+    the tracer rebinds module attributes and the bench modules import as
+    top-level ``run``, ``workloads`` and ``tracer``."""
+    selftest = "bench/selftest.py::"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         selftest + "test_benchmark_json_matches_workloads",
+         selftest + "test_tracer_rebinds_aliases_and_call_time_imports"],
+        cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "2 passed" in result.stdout
 
 
 def test_traced_fd_check_runs_stacked_forwards():

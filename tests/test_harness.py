@@ -183,8 +183,8 @@ def test_adam_three_step_trace_on_quadratic():
 
 
 def test_sgd_momentum_two_steps():
-    cfg = toy_train_config(optimizer="sgd_momentum", lr=0.1, weight_decay=0.0,
-                           momentum=0.9)
+    cfg = toy_train_config(optimizer="sgd_momentum", lr=0.1, weight_decay=0.0)
+    assert harness.SGD_MOMENTUM == 0.9
     x1, x2 = _quadratic_trace(cfg, 2)
     # v1 = 2, x1 = 1 - 0.2 = 0.8
     assert x1 == pytest.approx(0.8, abs=1e-15)
@@ -201,7 +201,7 @@ def whole_vector_step(p, g, state, config):
         p *= state["decay"]
     if config.optimizer == "sgd_momentum":
         vel = state["velocity"]
-        vel *= config.momentum
+        vel *= harness.SGD_MOMENTUM
         vel += g
         p -= np.multiply(vel, lr, out=buf)
         return
@@ -397,16 +397,18 @@ def test_train_bits_pinned(monkeypatch, opt, h, block):
     assert log.final_digest == digest
 
 
-def test_train_skip_default_loss_decreases_first_200_steps():
-    """Full-batch gradient descent on the skip model with default init: the
-    median loss curve over 5 seeds falls strictly for 200 steps."""
+def test_train_skip_default_loss_decreases_first_200_steps(monkeypatch):
+    """Full-batch gradient descent (sgd_momentum with the momentum set to 0)
+    on the skip model with default init: the median loss curve over 5 seeds
+    falls strictly for 200 steps."""
+    monkeypatch.setattr(harness, "SGD_MOMENTUM", 0.0)
     mc = ModelConfig(L=6, n=4, d=64, h=1, attention_scale=8.0, use_skip=True,
                      use_mlp=True, mlp_hidden=128, activation="gelu")
     curves = []
     for seed in range(5):
         ds = synth_task(4, 64, 10, 32, 0.1, seed=100 + seed)
         cfg = TrainConfig(model=mc, init=InitSpec(scheme="default", seed=seed),
-                          optimizer="sgd_momentum", momentum=0.0, lr=0.1,
+                          optimizer="sgd_momentum", lr=0.1,
                           steps=200, batch_size=32, seed=seed)
         log = train(ds, cfg)
         assert not log.diverged

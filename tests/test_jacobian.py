@@ -331,15 +331,14 @@ def test_param_jacobian_stack_checks_budget_before_any_backward(monkeypatch):
     linalg.MAX_ELEMENTS before the first backward runs."""
     cfg = small_config(L=1, n=2, d=4, h=2)
     params = random_params(cfg, seed=6)
-    rng = np.random.default_rng(7)
-    traces = [network_forward(rng.standard_normal((2, 4)), params, cfg) for _ in range(2)]
+    trace = network_forward(np.random.default_rng(7).standard_normal((2, 2, 4)), params, cfg)
     size = 2 * 2 * 4 * gauge_free_width(cfg)
     monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", size)
-    assert next(batch_param_jacobian(traces))[1].size == size
+    assert next(batch_param_jacobian(trace))[1].size == size
     monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", size - 1)
     monkeypatch.setattr(skiplab.jacobian, "network_backward", None)
     with pytest.raises(BudgetError):
-        next(batch_param_jacobian(traces))
+        next(batch_param_jacobian(trace))
 
 
 # --- MLP input Jacobian ------------------------------------------------------
@@ -721,11 +720,10 @@ def test_chain_calls_no_input_jacobian_or_kron(monkeypatch):
     counted(skiplab.linalg, "kron")
     cfg = small_config(L=3)
     params = random_params(cfg, seed=46)
-    rng = np.random.default_rng(47)
-    traces = [network_forward(rng.standard_normal((cfg.n, cfg.d)), params, cfg)
-              for _ in range(2)]
-    block_chain_jacobian(traces[0], 0)
-    assert [layer for layer, _ in batch_param_jacobian(traces)] == [2, 1, 0]
+    batch = np.random.default_rng(47).standard_normal((2, cfg.n, cfg.d))
+    block_chain_jacobian(network_forward(batch[0], params, cfg), 0)
+    assert [layer for layer, _ in batch_param_jacobian(
+        network_forward(batch, params, cfg))] == [2, 1, 0]
     assert calls == []
 
 
@@ -748,8 +746,8 @@ def test_chain_layer_out_of_range():
 
 # --- batch stacking ----------------------------------------------------------
 
-def _batch_by_layer(traces):
-    return dict(batch_param_jacobian(traces))
+def _batch_by_layer(batch, params, cfg):
+    return dict(batch_param_jacobian(network_forward(batch, params, cfg)))
 
 
 def test_batch_single_sample_equals_chain():
@@ -757,7 +755,8 @@ def test_batch_single_sample_equals_chain():
     params = random_params(cfg, seed=32)
     x0 = np.random.default_rng(33).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x0, params, cfg)
-    assert [layer for layer, _ in batch_param_jacobian([trace])] == [1, 0]
+    assert [layer for layer, _ in batch_param_jacobian(
+        network_forward(x0[None], params, cfg))] == [1, 0]
     batched = _j_stack([trace])[0]
     assert np.array_equal(batched, block_chain_jacobian(trace, 0))
 
@@ -767,9 +766,8 @@ def test_batch_duplicated_sample_scales_singular_values():
     cfg = small_config(L=1, use_skip=True)
     params = random_params(cfg, seed=34)
     x0 = np.random.default_rng(35).standard_normal((cfg.n, cfg.d))
-    trace = network_forward(x0, params, cfg)
-    j1 = _batch_by_layer([trace])[0]
-    j2 = _batch_by_layer([trace, trace])[0]
+    j1 = _batch_by_layer(x0[None], params, cfg)[0]
+    j2 = _batch_by_layer(np.stack([x0, x0]), params, cfg)[0]
     s1 = singular_values(j1)
     s2 = singular_values(j2)
     k = min(len(s1), len(s2))
@@ -779,8 +777,7 @@ def test_batch_duplicated_sample_scales_singular_values():
 def test_batch_rows_are_per_sample_jacobians():
     cfg = small_config(L=2, use_skip=True)
     params = random_params(cfg, seed=36)
-    rng = np.random.default_rng(37)
-    batch = [rng.standard_normal((cfg.n, cfg.d)) for _ in range(4)]
+    batch = np.random.default_rng(37).standard_normal((4, cfg.n, cfg.d))
     traces = [network_forward(x0, params, cfg) for x0 in batch]
     j = _j_stack(traces)[1]
     nd = cfg.n * cfg.d
@@ -789,7 +786,7 @@ def test_batch_rows_are_per_sample_jacobians():
         assert np.array_equal(j[i * nd:(i + 1) * nd, :], expected)
     # The gauge-free stack keeps the sample order: its Gram equals J's,
     # cross-sample blocks included.
-    c = _batch_by_layer(traces)[1]
+    c = _batch_by_layer(batch, params, cfg)[1]
     assert relative_frobenius(c @ c.T, j @ j.T) < 1e-12
 
 
@@ -851,10 +848,9 @@ def test_property_gauge_free_stack(h, use_skip, use_mlp, activation, layers, n, 
     if defect == "qk_column" and d_h == 1:
         (c_q, c_k), _ = _gauge_frames(params.blocks[0], h)[1]
         assert c_q[0].max() == c_k[0].max() == 0.0
-    rng = np.random.default_rng(seed + 1)
-    traces = [network_forward(rng.standard_normal((n, cfg.d)), params, cfg)
-              for _ in range(samples)]
-    for layer, c in batch_param_jacobian(traces):
+    batch = np.random.default_rng(seed + 1).standard_normal((samples, n, cfg.d))
+    traces = [network_forward(x0, params, cfg) for x0 in batch]
+    for layer, c in batch_param_jacobian(network_forward(batch, params, cfg)):
         j = np.vstack([_forward_product_chain(t, layer) for t in traces])
         assert c.shape == (len(j), gauge_free_width(cfg))
         assert relative_frobenius(c @ c.T, j @ j.T) < 1e-12, layer
@@ -866,8 +862,52 @@ def test_property_gauge_free_stack(h, use_skip, use_mlp, activation, layers, n, 
 
 
 def test_batch_requires_samples():
-    with pytest.raises(ValueError):
-        next(batch_param_jacobian([]))
+    """An empty batch, or a trace of one unbatched (n, d) sample, has no
+    sample axis to stack."""
+    cfg = small_config(L=1)
+    params = random_params(cfg, seed=48)
+    for x0 in (np.empty((0, cfg.n, cfg.d)), np.zeros((cfg.n, cfg.d))):
+        with pytest.raises(ValueError):
+            next(batch_param_jacobian(network_forward(x0, params, cfg)))
+
+
+def _per_sample_stack(traces):
+    """The oracle for the batched stack: one backward per sample trace,
+    walked in lockstep by ``zip``, each sample's gauge-free rows stacked per
+    layer by ``np.vstack`` in sample order."""
+    cfg = traces[0].config
+    eye = skiplab.jacobian._cotangent_stack(traces[0])
+    for steps in zip(*(network_backward(t, eye) for t in traces)):
+        layer = steps[0][0]
+        frames = _gauge_frames(traces[0].params.blocks[layer], cfg.h)
+        yield layer, np.vstack([
+            skiplab.jacobian._gauge_free_rows(
+                {w: (x[None], dy[:, None]) for w, (x, dy) in pairs.items()
+                 if w in ATTENTION_WEIGHTS}, frames, cfg.h)
+            for _, pairs in steps])
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+@pytest.mark.parametrize("use_mlp", [True, False])
+@pytest.mark.parametrize("use_skip", [True, False])
+@pytest.mark.parametrize("h", [1, 2, 4])
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(layers=st.integers(1, 3), n=st.integers(2, 4), d_h=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_property_batch_backward_matches_per_sample_stack(h, use_skip, use_mlp, samples,
+                                                          layers, n, d_h, seed):
+    """One backward over the (m, n, d) batch trace gives the per-sample
+    stack bit for bit, layer by layer, sample s in rows s*nd to (s+1)*nd - 1."""
+    cfg = ModelConfig(L=layers, n=n, d=h * d_h, h=h, attention_scale=1.5,
+                      use_skip=use_skip, use_mlp=use_mlp, mlp_hidden=3)
+    params = random_params(cfg, seed=seed, std=1.0 / np.sqrt(cfg.d))
+    batch = np.random.default_rng(seed + 1).standard_normal((samples, n, cfg.d))
+    want = list(_per_sample_stack([network_forward(x0, params, cfg) for x0 in batch]))
+    got = list(batch_param_jacobian(network_forward(batch, params, cfg)))
+    assert [layer for layer, _ in got] == [layer for layer, _ in want]
+    for (layer, c), (_, oracle) in zip(got, want):
+        assert c.shape == oracle.shape == (samples * n * cfg.d, gauge_free_width(cfg))
+        assert _bits(c) == _bits(oracle), layer
 
 
 # --- randomized whole-suite agreement ---------------------------------------
