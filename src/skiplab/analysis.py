@@ -228,8 +228,9 @@ def softmax_derivative_beta_sweep(n: int, d: int, alpha: float,
     return norms
 
 
-REGIMES = {"skip_default": True, "skipless_default": False,
-           "skipless_proposed": False}  # regime -> use_skip
+# regime -> (use_skip, init scheme)
+REGIMES = {"skip_default": (True, "default"), "skipless_default": (False, "default"),
+           "skipless_proposed": (False, "proposed")}
 
 
 def condition_profile_for_params(params, config: ModelConfig, batch: np.ndarray,
@@ -287,8 +288,7 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     infinite = {"kappa_J": float("inf")} if include_param_jacobian and not param_jacobian else {}
     weights = {s: init_network(config, replace(spec, scheme=s)) for s in ("default", "proposed")}
     profiles = {}
-    for regime, use_skip in REGIMES.items():
-        params = weights["proposed" if regime.endswith("proposed") else "default"]
+    for regime, (use_skip, scheme) in REGIMES.items():
         profiles[regime] = [metrics | infinite for metrics in condition_profile_for_params(
-            params, replace(config, use_skip=use_skip), batch, param_jacobian)]
+            weights[scheme], replace(config, use_skip=use_skip), batch, param_jacobian)]
     return profiles

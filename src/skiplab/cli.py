@@ -4,9 +4,10 @@ One command per process; every run writes a single report file atomically
 (temp file + rename) and is byte-reproducible from its own input echo: the
 report carries the command, the complete resolved parameter set, the seed and
 the tool version.  Analysis and training return metrics only; each command
-here joins them to its input echo as an ``ExperimentRecord``, so every report
-row is built in this module.  Wall time is logged to stderr only, never into
-the report, so identical config + seed always produces identical bytes.
+returns them with the columns it adds to the input echo, and ``run`` builds
+every report row from those in one expression.  Wall time is logged to
+stderr only, never into the report, so identical config + seed always
+produces identical bytes.
 
 Config resolution: an optional INI file (section name = command, values read
 literally, with no ``%`` interpolation) provides values, command-line flags
@@ -44,7 +45,7 @@ from .analysis import (REGIMES, concat_bound, gram_moments, layer_condition_prof
                        perturbation_split, prop1_trial, sample_low_coherence_pair,
                        softmax_derivative_beta_sweep)
 from .harness import TrainConfig, load_tensor_file, synth_task, train
-from .init import InitSpec, init_network, mimetic_qk, orthonormal_vo
+from .init import PRESETS, InitSpec, init_network, mimetic_qk, orthonormal_vo
 from .jacobian import fd_check_instance
 from .linalg import BudgetError, SvdConvergenceError, condition_number, singular_values
 from .model import ModelConfig, network_forward
@@ -57,18 +58,6 @@ class UsageError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One emitted result row: the command, its complete input echo, the seed
-    and the measured metrics.  Metric values are floats (inf encodes the
-    INFINITE condition-number token)."""
-
-    command: str
-    inputs: dict
-    seed: int
-    metrics: dict
-
-
-@dataclass(frozen=True)
 class RunConfig:
     command: str
     parameters: dict
@@ -78,42 +67,44 @@ class RunConfig:
 
 
 # Per-command parameter schema: name -> (python type, default).
-# A None default marks the parameter as required.
+# A None default marks the parameter as required.  The init constants default
+# to the supervised preset.
+_ALPHA, _BETA, _C = PRESETS["supervised"]
 _COMMON = {"out": (str, None), "format": (str, "csv"), "seed": (int, 0)}
 
 SCHEMAS: dict[str, dict] = {
     "prop1": {"n": (int, 10), "alpha": (float, 0.1), "beta": (float, 0.0),
               "temperature": (float, 1.0), "trials": (int, 100)},
-    "moments": {"n": (int, 4), "d": (int, 64), "alpha": (float, 2.0),
-                "beta": (float, 0.6), "trials": (int, 100000)},
+    "moments": {"n": (int, 4), "d": (int, 64), "alpha": (float, _ALPHA),
+                "beta": (float, _BETA), "trials": (int, 100000)},
     "jacobian-check": {"n": (int, 6), "d": (int, 8), "heads": (int, 2),
                        "layers": (int, 3), "seeds": (int, 20),
                        "tolerance": (float, 1e-5), "scale": (float, 1.0)},
     "ksplit": {"n": (int, 16), "d": (int, 32), "heads": (int, 1),
-               "scheme": (str, "proposed"), "alpha": (float, 2.0),
-               "beta": (float, 0.6), "c": (float, 3.0), "scale": (float, 0.0),
+               "scheme": (str, "proposed"), "alpha": (float, _ALPHA),
+               "beta": (float, _BETA), "c": (float, _C), "scale": (float, 0.0),
                "trials": (int, 10)},
     "concat-bound": {"rows": (int, 32), "cols": (int, 8), "trials": (int, 1000)},
-    "beta-sweep": {"n": (int, 10), "d": (int, 32), "alpha": (float, 2.0),
+    "beta-sweep": {"n": (int, 10), "d": (int, 32), "alpha": (float, _ALPHA),
                    "betas": (str, "0,1,2,4,8"), "trials": (int, 20),
                    "temperature": (float, 1.0)},
     "profile": {"n": (int, 8), "d": (int, 16), "heads": (int, 1),
                 "layers": (int, 1), "mlp_hidden": (int, 32),
-                "batch_size": (int, 2), "alpha": (float, 2.0),
-                "beta": (float, 0.6), "c": (float, 3.0), "scale": (float, 0.0),
+                "batch_size": (int, 2), "alpha": (float, _ALPHA),
+                "beta": (float, _BETA), "c": (float, _C), "scale": (float, 0.0),
                 "param_jacobian": (bool, True)},
     "train": {"n": (int, 8), "d": (int, 64), "heads": (int, 1),
               "layers": (int, 6), "mlp_hidden": (int, 128),
               "classes": (int, 10), "samples": (int, 256),
               "noise": (float, 0.1), "data": (str, ""),
               "skip": (bool, False), "scheme": (str, "proposed"),
-              "alpha": (float, 2.0), "beta": (float, 0.6), "c": (float, 3.0),
+              "alpha": (float, _ALPHA), "beta": (float, _BETA), "c": (float, _C),
               "scale": (float, 0.0), "optimizer": (str, "adam_decoupled"),
               "lr": (float, 1e-3), "weight_decay": (float, 0.0),
               "steps": (int, 2000), "batch_size": (int, 8),
               "log_every": (int, 1), "kappa_probe_every": (int, 0)},
-    "init-report": {"d": (int, 64), "alpha": (float, 2.0),
-                    "beta": (float, 0.6), "c": (float, 3.0),
+    "init-report": {"d": (int, 64), "alpha": (float, _ALPHA),
+                    "beta": (float, _BETA), "c": (float, _C),
                     "trials": (int, 10), "tokens": (int, 16)},
 }
 
@@ -232,19 +223,10 @@ def _json_value(v):
     return v.item() if isinstance(v, np.generic) else v
 
 
-def _flatten(record: ExperimentRecord) -> dict:
-    row = {"command": record.command, "seed": record.seed}
-    row.update(record.inputs)
-    row.update(record.metrics)
-    row["version"] = __version__
-    return row
-
-
-def serialize(records: list[ExperimentRecord], fmt: str) -> str:
-    """Render records as CSV (union of keys, first-appearance order) or as
+def serialize(rows: list[dict], fmt: str) -> str:
+    """Render report rows as CSV (union of keys, first-appearance order) or as
     line-delimited JSON objects.  Non-finite metrics become the INFINITE
     token; floats use shortest round-trip repr, so output is deterministic."""
-    rows = [_flatten(r) for r in records]
     if fmt == "records":
         lines = [json.dumps({k: _json_value(v) for k, v in row.items()},
                             separators=(", ", ": "))
@@ -282,10 +264,6 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _auto_scale(scale: float, d: int, heads: int) -> float:
-    return math.sqrt(d // heads) if scale <= 0.0 else scale
-
-
 def _betas(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
@@ -319,156 +297,134 @@ def _check_ranges(command: str, p: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (records, gate_ok)
+# Command implementations: each returns (rows, gate_ok), a row being
+# (inputs, seed, metrics) with inputs the columns it adds to the echo
 # ---------------------------------------------------------------------------
 
 
-def _cmd_prop1(p: dict, seed: int, echo: dict) -> tuple[list[ExperimentRecord], bool]:
+def _model(p: dict, **wiring) -> ModelConfig:
+    """The model that the shape flags describe; a scale of 0 means sqrt(d/h)."""
+    return ModelConfig(n=p["n"], d=p["d"], h=p["heads"],
+                       attention_scale=p["scale"] or math.sqrt(p["d"] // p["heads"]),
+                       **wiring)
+
+
+def _spec(p: dict, scheme: str, seed: int) -> InitSpec:
+    return InitSpec(scheme=scheme, alpha=p["alpha"], beta=p["beta"], c=p["c"], seed=seed)
+
+
+def _cmd_prop1(p: dict, seed: int):
     trials = [prop1_trial(p["n"], p["alpha"], p["beta"], p["temperature"], seed + k)
               for k in range(p["trials"])]
-    records = [ExperimentRecord("prop1", dict(echo, trial=k), seed + k, t)
-               for k, t in enumerate(trials)]
+    rows = [({"trial": k}, seed + k, t) for k, t in enumerate(trials)]
     summary = {key: float(np.median([t[key] for t in trials])) for key in trials[0]}
     finite = [t["kappa"] for t in trials if math.isfinite(t["kappa"])]
     summary["kappa_max_finite"] = max(finite) if finite else float("inf")
     summary["infinite_count"] = len(trials) - len(finite)
-    records.append(ExperimentRecord("prop1", dict(echo, trial=-1), seed, summary))
-    return records, True
+    rows.append(({"trial": -1}, seed, summary))
+    return rows, True
 
 
-def _cmd_moments(p: dict, seed: int, echo: dict):
-    metrics = gram_moments(p["n"], p["d"], p["alpha"], p["beta"], p["trials"], seed)
-    return [ExperimentRecord("moments", echo, seed, metrics)], True
+def _cmd_moments(p: dict, seed: int):
+    return [({}, seed, gram_moments(p["n"], p["d"], p["alpha"], p["beta"],
+                                    p["trials"], seed))], True
 
 
-def _cmd_jacobian_check(p: dict, seed: int, echo: dict):
-    records = []
+def _cmd_jacobian_check(p: dict, seed: int):
+    rows = []
     all_ok = True
     for k in range(p["seeds"]):
         errs = fd_check_instance(p["n"], p["d"], p["heads"], p["layers"],
                                  seed + k, scale=p["scale"])
         ok = all(v <= p["tolerance"] for v in errs.values())
         all_ok &= ok
-        metrics = dict(errs)
-        metrics["passed"] = ok
-        records.append(ExperimentRecord("jacobian-check", dict(echo, trial=k),
-                                        seed + k, metrics))
-    records.append(ExperimentRecord(
-        "jacobian-check", dict(echo, trial=-1), seed,
-        {"all_passed": all_ok,
-         "max_error": max(max(r.metrics[k] for k in r.metrics if k != "passed")
-                          for r in records)}))
-    return records, all_ok
+        rows.append(({"trial": k}, seed + k, dict(errs, passed=ok)))
+    max_error = max(max(v for key, v in m.items() if key != "passed") for _, _, m in rows)
+    rows.append(({"trial": -1}, seed, {"all_passed": all_ok, "max_error": max_error}))
+    return rows, all_ok
 
 
-def _cmd_ksplit(p: dict, seed: int, echo: dict):
-    cfg = ModelConfig(L=1, n=p["n"], d=p["d"], h=p["heads"],
-                      attention_scale=_auto_scale(p["scale"], p["d"], p["heads"]),
-                      use_skip=False, use_mlp=False)
-    records = []
+def _cmd_ksplit(p: dict, seed: int):
+    cfg = _model(p, L=1, use_skip=False, use_mlp=False)
+    rows = []
     for k in range(p["trials"]):
-        rng = np.random.default_rng(seed + k)
-        x = rng.standard_normal((p["n"], p["d"]))
-        spec = InitSpec(scheme=p["scheme"], alpha=p["alpha"], beta=p["beta"],
-                        c=p["c"], seed=seed + k)
-        params = init_network(cfg, spec)
-        trace = network_forward(x, params, cfg)
-        records.append(ExperimentRecord(
-            "ksplit", dict(echo, trial=k, attention_scale=cfg.attention_scale),
-            seed + k, perturbation_split(trace, 0)))
-    return records, True
+        x = np.random.default_rng(seed + k).standard_normal((p["n"], p["d"]))
+        trace = network_forward(x, init_network(cfg, _spec(p, p["scheme"], seed + k)), cfg)
+        rows.append(({"trial": k, "attention_scale": cfg.attention_scale}, seed + k,
+                     perturbation_split(trace, 0)))
+    return rows, True
 
 
-def _cmd_concat_bound(p: dict, seed: int, echo: dict):
+def _cmd_concat_bound(p: dict, seed: int):
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     violations = 0
     for k in range(p["trials"]):
         a, b = sample_low_coherence_pair(p["rows"], p["cols"], rng)
         r = concat_bound(a, b)
         if r["hypothesis"] and r["bound"] < r["actual"]:
             violations += 1
-        records.append(ExperimentRecord("concat-bound", dict(echo, trial=k), seed, r))
-    records.append(ExperimentRecord("concat-bound", dict(echo, trial=-1), seed,
-                                    {"violations": violations}))
-    return records, violations == 0
+        rows.append(({"trial": k}, seed, r))
+    rows.append(({"trial": -1}, seed, {"violations": violations}))
+    return rows, violations == 0
 
 
-def _cmd_beta_sweep(p: dict, seed: int, echo: dict):
+def _cmd_beta_sweep(p: dict, seed: int):
     betas = _betas(p["betas"])
-    records = []
+    rows = []
     all_norms = []
     for k in range(p["trials"]):
         norms = softmax_derivative_beta_sweep(p["n"], p["d"], p["alpha"], betas,
                                               seed + k, p["temperature"])
         all_norms.append(norms)
-        records.append(ExperimentRecord(
-            "beta-sweep", dict(echo, trial=k), seed + k,
-            {f"norm_beta_{b:g}": v for b, v in zip(betas, norms)}))
+        rows.append(({"trial": k}, seed + k,
+                     {f"norm_beta_{b:g}": v for b, v in zip(betas, norms)}))
     med = np.median(np.array(all_norms), axis=0)
-    records.append(ExperimentRecord(
-        "beta-sweep", dict(echo, trial=-1), seed,
-        {f"norm_beta_{b:g}": float(v) for b, v in zip(betas, med)}))
-    return records, True
+    rows.append(({"trial": -1}, seed,
+                 {f"norm_beta_{b:g}": float(v) for b, v in zip(betas, med)}))
+    return rows, True
 
 
-def _cmd_profile(p: dict, seed: int, echo: dict):
-    scale = _auto_scale(p["scale"], p["d"], p["heads"])
-    cfg = ModelConfig(L=p["layers"], n=p["n"], d=p["d"], h=p["heads"],
-                      attention_scale=scale, use_skip=False, use_mlp=True,
-                      mlp_hidden=p["mlp_hidden"])
-    spec = InitSpec(scheme="proposed", alpha=p["alpha"], beta=p["beta"],
-                    c=p["c"], seed=seed)
-    profiles = layer_condition_profile(cfg, spec, p["batch_size"], seed,
-                                       include_param_jacobian=p["param_jacobian"])
+def _cmd_profile(p: dict, seed: int):
+    cfg = _model(p, L=p["layers"], use_skip=False, mlp_hidden=p["mlp_hidden"])
+    profiles = layer_condition_profile(cfg, _spec(p, "proposed", seed), p["batch_size"],
+                                       seed, include_param_jacobian=p["param_jacobian"])
     # mlp_hidden echoes the resolved width (4d for 0), in its flag's column.
-    records = [ExperimentRecord("profile", dict(
-        echo, mlp_hidden=cfg.mlp_hidden, layer=layer, h=cfg.h, L=cfg.L,
-        activation=cfg.activation, attention_scale=cfg.attention_scale,
-        use_skip=REGIMES[regime], regime=regime), seed, metrics)
-        for regime, profile in profiles.items() for layer, metrics in enumerate(profile)]
-    return records, True
+    rows = [(dict(mlp_hidden=cfg.mlp_hidden, layer=layer, h=cfg.h, L=cfg.L,
+                  activation=cfg.activation, attention_scale=cfg.attention_scale,
+                  use_skip=REGIMES[regime][0], regime=regime), seed, metrics)
+            for regime, profile in profiles.items() for layer, metrics in enumerate(profile)]
+    return rows, True
 
 
-def _cmd_train(p: dict, seed: int, echo: dict):
-    scale = _auto_scale(p["scale"], p["d"], p["heads"])
-    mc = ModelConfig(L=p["layers"], n=p["n"], d=p["d"], h=p["heads"],
-                     attention_scale=scale, use_skip=p["skip"], use_mlp=True,
-                     mlp_hidden=p["mlp_hidden"])
+def _cmd_train(p: dict, seed: int):
+    mc = _model(p, L=p["layers"], use_skip=p["skip"], mlp_hidden=p["mlp_hidden"])
     if p["data"]:
         ds = load_tensor_file(p["data"])
     else:
         ds = synth_task(p["n"], p["d"], p["classes"], p["samples"], p["noise"],
                         seed)
-    spec = InitSpec(scheme=p["scheme"], alpha=p["alpha"], beta=p["beta"],
-                    c=p["c"], seed=seed)
-    tc = TrainConfig(model=mc, init=spec, optimizer=p["optimizer"], lr=p["lr"],
-                     weight_decay=p["weight_decay"], steps=p["steps"],
+    tc = TrainConfig(model=mc, init=_spec(p, p["scheme"], seed), optimizer=p["optimizer"],
+                     lr=p["lr"], weight_decay=p["weight_decay"], steps=p["steps"],
                      batch_size=p["batch_size"],
                      kappa_probe_every=p["kappa_probe_every"], seed=seed)
     log = train(ds, tc)
-    records = []
-    for step, loss in enumerate(log.losses):
-        if p["log_every"] and step % p["log_every"] == 0:
-            records.append(ExperimentRecord("train", dict(echo, trial=step),
-                                            seed, {"loss": loss}))
-    for step, probe in log.probes:
-        for layer, metrics in enumerate(probe):
-            records.append(ExperimentRecord(
-                "train", dict(echo, trial=step, probe_layer=layer), seed, metrics))
-    records.append(ExperimentRecord(
-        "train", dict(echo, trial=-1), seed,
-        {"steps_run": len(log.losses),
-         "final_loss": log.losses[-1] if log.losses else float("inf"),
-         "diverged": log.diverged,
-         "diverged_step": -1 if log.diverged_step is None else log.diverged_step,
-         "digest": log.final_digest}))
-    return records, True
+    rows = [({"trial": step}, seed, {"loss": loss}) for step, loss in enumerate(log.losses)
+            if p["log_every"] and step % p["log_every"] == 0]
+    rows += [({"trial": step, "probe_layer": layer}, seed, metrics)
+             for step, probe in log.probes for layer, metrics in enumerate(probe)]
+    rows.append(({"trial": -1}, seed,
+                 {"steps_run": len(log.losses),
+                  "final_loss": log.losses[-1] if log.losses else float("inf"),
+                  "diverged": log.diverged,
+                  "diverged_step": -1 if log.diverged_step is None else log.diverged_step,
+                  "digest": log.final_digest}))
+    return rows, True
 
 
-def _cmd_init_report(p: dict, seed: int, echo: dict):
+def _cmd_init_report(p: dict, seed: int):
     d = p["d"]
-    records = []
+    rows = []
     for k in range(p["trials"]):
         trial_seed = seed + k
         w_v, w_o = orthonormal_vo(d, p["c"], trial_seed)
@@ -483,15 +439,14 @@ def _cmd_init_report(p: dict, seed: int, echo: dict):
         logits = x @ prod @ x.T
         neg = logits + np.diag(np.full(p["tokens"], -np.inf))
         margin = float(np.median(np.diagonal(logits) - neg.max(axis=1)))
-        records.append(ExperimentRecord(
-            "init-report", dict(echo, trial=k), trial_seed,
-            {"kappa_vo": condition_number(w_v @ w_o),
-             "sv_max": float(sv[0]), "sv_min": float(sv[-1]),
-             "c_squared": p["c"] ** 2,
-             "qk_diag_mean": float(np.diagonal(prod).mean()),
-             "qk_offdiag_var": float(prod[off_mask].var()),
-             "median_margin": margin}))
-    return records, True
+        rows.append(({"trial": k}, trial_seed,
+                     {"kappa_vo": condition_number(w_v @ w_o),
+                      "sv_max": float(sv[0]), "sv_min": float(sv[-1]),
+                      "c_squared": p["c"] ** 2,
+                      "qk_diag_mean": float(np.diagonal(prod).mean()),
+                      "qk_offdiag_var": float(prod[off_mask].var()),
+                      "median_margin": margin}))
+    return rows, True
 
 
 _COMMANDS = {
@@ -516,11 +471,12 @@ def run(config: RunConfig) -> int:
     try:
         threads = _threads()
         _check_ranges(config.command, config.parameters)
-        echo = dict(config.parameters)
-        echo["threads"] = threads
-        records, gate_ok = _COMMANDS[config.command](config.parameters,
-                                                     config.seed, echo)
-        text = serialize(records, config.format)
+        echo = dict(config.parameters, threads=threads)
+        rows, gate_ok = _COMMANDS[config.command](config.parameters, config.seed)
+        # A key the echo already holds keeps its column and takes the new value.
+        text = serialize([{"command": config.command, "seed": seed, **echo, **inputs,
+                           **metrics, "version": __version__}
+                          for inputs, seed, metrics in rows], config.format)
         write_atomic(config.out_path, text)
     except UsageError:
         raise
@@ -530,7 +486,7 @@ def run(config: RunConfig) -> int:
         return 1
     elapsed = time.monotonic() - started
     print(f"skls {config.command}: wrote {config.out_path} "
-          f"({len(records)} records, {elapsed:.2f}s)", file=sys.stderr)
+          f"({len(rows)} records, {elapsed:.2f}s)", file=sys.stderr)
     return 0 if gate_ok else 1
 
 

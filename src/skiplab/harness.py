@@ -22,6 +22,7 @@ import numpy as np
 
 from .analysis import condition_profile_for_params
 from .init import TRUNC_BOUND, TRUNC_STD, InitSpec, init_network, truncated_normal
+from .linalg import check_budget
 from .model import (BlockParams, DivergenceError, ForwardTrace, ModelConfig,
                     NetworkParams, network_backward, network_forward)
 
@@ -121,6 +122,8 @@ def synth_task(n: int, d: int, class_count: int, samples: int, noise: float,
         raise ValueError("class_count must be >= 2")
     if n > d:
         raise ValueError("orthonormal row templates need n <= d")
+    # The class templates and the tokens are each one array under the budget.
+    check_budget(max(class_count, samples), n * d)
     rng = np.random.default_rng(seed)
     templates = np.empty((class_count, n, d))
     for c in range(class_count):

@@ -36,9 +36,9 @@ TRUNC_BOUND = 2.0
 @dataclass(frozen=True)
 class InitSpec:
     scheme: str = "proposed"
-    alpha: float = 2.0
-    beta: float = 0.6
-    c: float = 3.0
+    alpha: float = PRESETS["supervised"][0]
+    beta: float = PRESETS["supervised"][1]
+    c: float = PRESETS["supervised"][2]
     seed: int = 0
 
     def __post_init__(self):

@@ -58,7 +58,8 @@ from .model import (BlockParams, ForwardTrace, ModelConfig, NetworkParams,
                     network_backward, network_forward, row_softmax, self_attention,
                     split_heads)
 
-# Dense nd x nd materialization cap.
+# Dense nd x nd materialization cap.  Like linalg.MAX_ELEMENTS it counts the
+# one matrix: an SVD of it takes about as much again for LAPACK's copy.
 MAX_ND = 2048
 
 # Central differences with h ~ eps^(1/3) balance truncation and rounding.

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Element cap for dense products (kron outputs, stacked Jacobians).
+# Element cap on one dense array: a kron output, a stacked Jacobian, a
+# generated dataset.  It counts that array's elements only, not the copy and
+# workspace LAPACK takes to decompose it, so an SVD near the cap needs about
+# twice the memory it names (8 bytes an element).
 MAX_ELEMENTS = 1 << 25
 
 # Relative threshold below which sigma_min counts as numerically zero.
@@ -34,7 +37,8 @@ class SvdConvergenceError(RuntimeError):
 
 
 def check_budget(rows: int, cols: int) -> None:
-    """Raise :class:`BudgetError` before a rows x cols dense build past the cap."""
+    """Raise :class:`BudgetError` before a rows x cols dense build past the cap.
+    Only that one array counts (see :data:`MAX_ELEMENTS`)."""
     if rows * cols > MAX_ELEMENTS:
         raise BudgetError(
             f"dense {rows}x{cols} result holds {rows * cols} elements, "

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from skiplab.cli import (_COMMANDS, SCHEMAS, ExperimentRecord, RunConfig, UsageError,
-                         main, parse_config, run, serialize, write_atomic)
+from skiplab.cli import (_COMMANDS, SCHEMAS, RunConfig, UsageError, main, parse_config,
+                         run, serialize, write_atomic)
 
 
 # --- config resolution ---------------------------------------------------------
@@ -88,17 +88,17 @@ def test_parse_bool_values(tmp_path):
 
 # --- serialization ----------------------------------------------------------------
 
-def _records():
+def _rows():
     return [
-        ExperimentRecord("demo", {"n": 3, "flag": True}, 7,
-                         {"kappa": 2.5, "bad": float("inf")}),
-        ExperimentRecord("demo", {"n": 3, "flag": False}, 8,
-                         {"kappa": 1.25, "bad": 0.5, "extra": 1}),
+        {"command": "demo", "seed": 7, "n": 3, "flag": True, "kappa": 2.5,
+         "bad": float("inf"), "version": "0"},
+        {"command": "demo", "seed": 8, "n": 3, "flag": False, "kappa": 1.25,
+         "bad": 0.5, "extra": 1, "version": "0"},
     ]
 
 
 def test_serialize_csv_infinite_token_and_union_columns():
-    text = serialize(_records(), "csv")
+    text = serialize(_rows(), "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "command,seed,n,flag,kappa,bad,version,extra"
     assert "INFINITE" in lines[1]
@@ -107,7 +107,7 @@ def test_serialize_csv_infinite_token_and_union_columns():
 
 
 def test_serialize_records_json_lines():
-    text = serialize(_records(), "records")
+    text = serialize(_rows(), "records")
     lines = text.strip().split("\n")
     assert len(lines) == 2
     row = json.loads(lines[0])
@@ -120,15 +120,15 @@ def test_serialize_numpy_scalars_like_python_values():
     """CSV and JSON spell numpy scalars as they spell the Python values, and
     CSV writes NaN as the JSON writer's NAN token."""
     def rows(flag, kappa, bad, count):
-        return [ExperimentRecord("demo", {"flag": flag, "count": count}, 7,
-                                 {"kappa": kappa, "bad": bad, "nan": float("nan")})]
+        return [{"command": "demo", "seed": 7, "flag": flag, "count": count,
+                 "kappa": kappa, "bad": bad, "nan": float("nan")}]
 
     plain = rows(True, 1.5, float("inf"), 3)
     numpy = rows(np.bool_(True), np.float64(1.5), np.float64(np.inf), np.int64(3))
     for fmt in ("csv", "records"):
         assert serialize(numpy, fmt) == serialize(plain, fmt)
     line = serialize(numpy, "csv").strip().split("\n")[1]
-    assert line.startswith("demo,7,true,3,1.5,INFINITE,NAN,")
+    assert line == "demo,7,true,3,1.5,INFINITE,NAN"
     assert json.loads(serialize(numpy, "records"))["nan"] == "NAN"
 
 
@@ -427,7 +427,7 @@ def test_every_schema_key_is_read(command):
     when the command runs."""
     cfg = parse_config([command, *_SMALL[command], "--out", "x.csv"])
     p = _ReadRecorder(cfg.parameters)
-    _COMMANDS[command](p, cfg.seed, dict(cfg.parameters))
+    _COMMANDS[command](p, cfg.seed)
     assert p.read == set(SCHEMAS[command])
 
 
@@ -455,7 +455,9 @@ def test_init_report_command(tmp_path):
 
 def test_every_command_rerun_is_byte_identical(tmp_path):
     """Determinism across the whole command surface at small sizes, with
-    each CSV report's columns where they have always been."""
+    each CSV report's columns where they have always been, and every JSON
+    record laid out as command, seed, the schema's keys, threads, what the
+    command adds, and version last."""
     for fmt in ("csv", "records"):
         for command, extra in _SMALL.items():
             a = tmp_path / f"{command}-{fmt}-a.out"
@@ -466,6 +468,11 @@ def test_every_command_rerun_is_byte_identical(tmp_path):
             assert a.read_bytes() == b.read_bytes(), (command, fmt)
             if fmt == "csv":
                 assert a.read_text().split("\n")[0] == _HEADERS[command]
+                continue
+            echo = ["command", "seed", *SCHEMAS[command], "threads"]
+            for line in a.read_text().splitlines():
+                keys = list(json.loads(line))
+                assert keys[:len(echo)] == echo and keys[-1] == "version", (command, keys)
 
 
 def test_threads_env_echoed_and_validated(tmp_path, monkeypatch):
@@ -475,6 +482,24 @@ def test_threads_env_echoed_and_validated(tmp_path, monkeypatch):
     assert ",4," in out.read_text().split("\n")[1]
     monkeypatch.setenv("SKLS_THREADS", "zero")
     assert main(["prop1", "--trials", "2", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--classes"])
+def test_train_dataset_over_budget_exit_1_before_drawing(tmp_path, capsys, monkeypatch,
+                                                         flag):
+    """A generated dataset past linalg.MAX_ELEMENTS is a BudgetError (exit 1,
+    no report), raised before any of it is drawn or allocated."""
+    from skiplab.linalg import MAX_ELEMENTS
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("dataset drawn before the budget check")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "t.csv"
+    rows = MAX_ELEMENTS // (4 * 8) + 1
+    assert main(["train", "--n", "4", "--d", "8", flag, str(rows),
+                 "--out", str(out)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():
