@@ -30,11 +30,12 @@ from .init import InitSpec, init_network
 from .jacobian import (add_dominant_term, batch_param_jacobian, gauge_free_width,
                        logits_input_jacobian, mlp_token_blocks, sa_input_jacobian, sa_split,
                        softmax_jacobian)
-from .linalg import (condition_from_singular_values, condition_number, kron_eye_apply,
-                     singular_values, spectral_norm)
+from . import linalg
+from .linalg import (check_budget, condition_from_singular_values, condition_number,
+                     kron_eye_apply, singular_values, spectral_norm)
 from .model import ModelConfig, network_forward, row_softmax
 
-MOMENT_CHUNK = 2000  # gram_moments trials drawn per vectorized batch
+MOMENT_CHUNK = 2000  # most gram_moments trials drawn per vectorized batch
 COHERENCE_TRIES = 64  # sample_low_coherence_pair draws before giving up
 
 
@@ -48,6 +49,7 @@ def prop1_trial(n: int, alpha: float, beta: float, temperature: float,
     """
     if n < 2:
         raise ValueError("prop1_trial needs n >= 2")
+    check_budget(n, n)
     rng = np.random.default_rng(seed)
     m = alpha * rng.standard_normal((n, n)) + beta * np.eye(n)
     a = row_softmax(m, temperature)
@@ -71,42 +73,37 @@ def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
         raise ValueError("trials must be >= 1")
     if n < 2:
         raise ValueError("need n >= 2 for off-diagonal moments")
+    width = max(n, d)
+    check_budget(trials, n * n)  # every trial's pooled entries
+    check_budget(width, width)  # one trial's draws
+    chunk = min(MOMENT_CHUNK, linalg.MAX_ELEMENTS // width**2)
     rng = np.random.default_rng(seed)
-    diag_idx = np.arange(n)
-    off_mask = ~np.eye(n, dtype=bool)
-    acc = {k: [] for k in ("a_ii", "a_ij", "b_ii", "b_ij", "c_ii", "c_ij", "gamma")}
-    gamma_trial_means = []
-    left = trials
-    while left > 0:
-        t = min(MOMENT_CHUNK, left)
-        left -= t
+    eye = np.eye(n, dtype=bool)
+    chunks = []
+    for start in range(0, trials, chunk):
+        t = min(chunk, trials - start)
         x = rng.standard_normal((t, n, d))
         z = rng.standard_normal((t, d, d)) / np.sqrt(d)
         xt = x.transpose(0, 2, 1)
         a = x @ xt
         b = x @ z @ xt
         c = alpha * b + beta * a
-        acc["a_ii"].append(a[:, diag_idx, diag_idx].ravel())
-        acc["a_ij"].append(a[:, off_mask].ravel())
-        acc["b_ii"].append(b[:, diag_idx, diag_idx].ravel())
-        acc["b_ij"].append(b[:, off_mask].ravel())
-        acc["c_ii"].append(c[:, diag_idx, diag_idx].ravel())
-        acc["c_ij"].append(c[:, off_mask].ravel())
-        gamma = c[:, diag_idx, diag_idx, None] - c.reshape(t, n, n)
-        gamma = gamma[:, off_mask]
-        acc["gamma"].append(gamma.ravel())
-        gamma_trial_means.append(gamma.mean(axis=1))
+        # (t, k) entries per kind: diagonal, off-diagonal, margin C_ii - C_ij.
+        entries = {f"{name}_{kind}": m[:, mask] for name, m in zip("abc", (a, b, c))
+                   for kind, mask in (("ii", eye), ("ij", ~eye))}
+        entries["gamma"] = (entries["c_ii"][:, :, None] - c)[:, ~eye]
+        chunks.append(entries)
 
     empirical = {}
-    for key, chunks in acc.items():
-        v = np.concatenate(chunks)
+    for key in chunks[0]:
+        v = np.concatenate([e[key].ravel() for e in chunks])
         empirical[f"mean_{key}"] = float(v.mean())
         empirical[f"var_{key}"] = float(v.var())
     empirical["count_diag"] = trials * n
     empirical["count_off"] = trials * n * (n - 1)
     # Entries within one trial are correlated, so the standard error of the
     # margin mean comes from the independent per-trial means.
-    per_trial = np.concatenate(gamma_trial_means)
+    per_trial = np.concatenate([e["gamma"].mean(axis=1) for e in chunks])
     empirical["se_mean_gamma"] = float(per_trial.std(ddof=1) / np.sqrt(trials))
 
     closed = {
@@ -195,10 +192,9 @@ def sample_low_coherence_pair(rows: int, cols: int,
         raise ValueError("need rows >= 2*cols for a full-rank concatenation")
     for _ in range(COHERENCE_TRIES):
         q, _ = np.linalg.qr(rng.standard_normal((rows, 2 * cols)))
-        mix_a = np.eye(cols) + 0.3 * rng.standard_normal((cols, cols)) / np.sqrt(cols)
-        mix_b = np.eye(cols) + 0.3 * rng.standard_normal((cols, cols)) / np.sqrt(cols)
-        scale_a = rng.uniform(0.6, 1.5)
-        scale_b = rng.uniform(0.6, 1.5)
+        mix_a, mix_b = (np.eye(cols) + 0.3 * rng.standard_normal((cols, cols)) / np.sqrt(cols)
+                        for _ in "ab")
+        scale_a, scale_b = rng.uniform(0.6, 1.5, 2)
         a = scale_a * (q[:, :cols] @ mix_a)
         coupling = rng.uniform(0.0, 0.05) * rng.standard_normal((cols, cols)) / np.sqrt(cols)
         b = scale_b * (q[:, cols:] @ mix_b + q[:, :cols] @ coupling)
@@ -216,6 +212,7 @@ def softmax_derivative_beta_sweep(n: int, d: int, alpha: float,
     Builds P = alpha*Z + beta*I directly (the mimetic product, not its
     factors) and measures the spectral norm of the attention derivative;
     the claimed decay is O(alpha * e^(-beta))."""
+    check_budget(max(n, d), d)  # X and Z
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     z = rng.standard_normal((d, d)) / np.sqrt(d)
@@ -279,16 +276,15 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     default regimes share one weight set, as the init ignores skips.  kappa(J_l)
     routes through the regime's own chain factors: with skips each factor
     carries the +I of the identity path.
+
+    Only the first rows of one (batch_size, n, d) standard-normal draw from
+    ``seed`` are drawn: one without kappa(J), and with it at most
+    gauge_free_width // nd + 1, enough to make kappa(J) INFINITE by structure.
     """
-    param_jacobian = (include_param_jacobian
-                      and batch_size * config.n * config.d <= gauge_free_width(config))
-    # Only traced samples are drawn.
-    batch = np.random.default_rng(seed).standard_normal(
-        (batch_size if param_jacobian else 1, config.n, config.d))
-    infinite = {"kappa_J": float("inf")} if include_param_jacobian and not param_jacobian else {}
     weights = {s: init_network(config, replace(spec, scheme=s)) for s in ("default", "proposed")}
-    profiles = {}
-    for regime, (use_skip, scheme) in REGIMES.items():
-        profiles[regime] = [metrics | infinite for metrics in condition_profile_for_params(
-            weights[scheme], replace(config, use_skip=use_skip), batch, param_jacobian)]
-    return profiles
+    draws = (min(batch_size, gauge_free_width(config) // (config.n * config.d) + 1)
+             if include_param_jacobian else 1)
+    batch = np.random.default_rng(seed).standard_normal((draws, config.n, config.d))
+    return {regime: condition_profile_for_params(
+                weights[scheme], replace(config, use_skip=use_skip), batch, include_param_jacobian)
+            for regime, (use_skip, scheme) in REGIMES.items()}

@@ -47,7 +47,8 @@ from .analysis import (REGIMES, concat_bound, gram_moments, layer_condition_prof
 from .harness import TrainConfig, load_tensor_file, synth_task, train
 from .init import PRESETS, InitSpec, init_network, mimetic_qk, orthonormal_vo
 from .jacobian import fd_check_instance
-from .linalg import BudgetError, SvdConvergenceError, condition_number, singular_values
+from .linalg import (BudgetError, SvdConvergenceError, check_budget, condition_number,
+                     singular_values)
 from .model import ModelConfig, network_forward
 
 FORMATS = ("csv", "records")
@@ -271,8 +272,9 @@ def _betas(text: str) -> list[float]:
 def _check_ranges(command: str, p: dict) -> None:
     """Reject values the schema types admit but no command can run; the
     ValueError names the key.  Integers must be >= 1, except that the two
-    intervals read 0 as "never", mlp_hidden 0 means 4d (see ModelConfig), and
-    a one-token softmax is constant, so the token counts it runs over need >= 2.
+    intervals read 0 as "never", mlp_hidden 0 means 4d (see ModelConfig), a
+    one-token softmax is constant, so the token counts it runs over need >= 2,
+    and init-report's d needs >= 2, as a 1 x 1 product has no off-diagonal.
     An attention scale must be >= 0 (0 means sqrt(d/h)); jacobian-check uses it
     as given, so it must be > 0 there.  Every float must be finite."""
     if "scale" in p:
@@ -282,7 +284,8 @@ def _check_ranges(command: str, p: dict) -> None:
     for key, value in p.items():
         kind = SCHEMAS[command][key][0]
         low = (0 if key in ("log_every", "kappa_probe_every", "mlp_hidden")
-               else 2 if (command, key) in (("init-report", "tokens"), ("beta-sweep", "n"))
+               else 2 if (command, key) in (("init-report", "tokens"), ("init-report", "d"),
+                                            ("beta-sweep", "n"))
                else 1)
         if kind is int and value < low:
             raise ValueError(f"{key} must be >= {low}, got {value}")
@@ -313,16 +316,23 @@ def _spec(p: dict, scheme: str, seed: int) -> InitSpec:
     return InitSpec(scheme=scheme, alpha=p["alpha"], beta=p["beta"], c=p["c"], seed=seed)
 
 
+def _trials(count: int, seed: int, measure) -> list:
+    """Rows of trials 0..count-1, trial k measured at seed + k."""
+    return [({"trial": k}, seed + k, measure(seed + k)) for k in range(count)]
+
+
+def _medians(rows: list) -> dict:
+    """Each metric's median over the rows' trials."""
+    return {key: float(np.median([m[key] for _, _, m in rows])) for key in rows[0][2]}
+
+
 def _cmd_prop1(p: dict, seed: int):
-    trials = [prop1_trial(p["n"], p["alpha"], p["beta"], p["temperature"], seed + k)
-              for k in range(p["trials"])]
-    rows = [({"trial": k}, seed + k, t) for k, t in enumerate(trials)]
-    summary = {key: float(np.median([t[key] for t in trials])) for key in trials[0]}
-    finite = [t["kappa"] for t in trials if math.isfinite(t["kappa"])]
-    summary["kappa_max_finite"] = max(finite) if finite else float("inf")
-    summary["infinite_count"] = len(trials) - len(finite)
-    rows.append(({"trial": -1}, seed, summary))
-    return rows, True
+    rows = _trials(p["trials"], seed, lambda s: prop1_trial(
+        p["n"], p["alpha"], p["beta"], p["temperature"], s))
+    finite = [m["kappa"] for _, _, m in rows if math.isfinite(m["kappa"])]
+    summary = _medians(rows) | {"kappa_max_finite": max(finite) if finite else float("inf"),
+                                "infinite_count": len(rows) - len(finite)}
+    return rows + [({"trial": -1}, seed, summary)], True
 
 
 def _cmd_moments(p: dict, seed: int):
@@ -331,14 +341,12 @@ def _cmd_moments(p: dict, seed: int):
 
 
 def _cmd_jacobian_check(p: dict, seed: int):
-    rows = []
-    all_ok = True
-    for k in range(p["seeds"]):
-        errs = fd_check_instance(p["n"], p["d"], p["heads"], p["layers"],
-                                 seed + k, scale=p["scale"])
-        ok = all(v <= p["tolerance"] for v in errs.values())
-        all_ok &= ok
-        rows.append(({"trial": k}, seed + k, dict(errs, passed=ok)))
+    def measure(s):
+        errs = fd_check_instance(p["n"], p["d"], p["heads"], p["layers"], s, scale=p["scale"])
+        return dict(errs, passed=all(v <= p["tolerance"] for v in errs.values()))
+
+    rows = _trials(p["seeds"], seed, measure)
+    all_ok = all(m["passed"] for _, _, m in rows)
     max_error = max(max(v for key, v in m.items() if key != "passed") for _, _, m in rows)
     rows.append(({"trial": -1}, seed, {"all_passed": all_ok, "max_error": max_error}))
     return rows, all_ok
@@ -346,6 +354,7 @@ def _cmd_jacobian_check(p: dict, seed: int):
 
 def _cmd_ksplit(p: dict, seed: int):
     cfg = _model(p, L=1, use_skip=False, use_mlp=False)
+    check_budget(p["n"], p["d"])  # the tokens
     rows = []
     for k in range(p["trials"]):
         x = np.random.default_rng(seed + k).standard_normal((p["n"], p["d"]))
@@ -356,33 +365,20 @@ def _cmd_ksplit(p: dict, seed: int):
 
 
 def _cmd_concat_bound(p: dict, seed: int):
+    check_budget(p["rows"], 2 * p["cols"])  # each pair's Gaussian draw
     rng = np.random.default_rng(seed)
-    rows = []
-    violations = 0
-    for k in range(p["trials"]):
-        a, b = sample_low_coherence_pair(p["rows"], p["cols"], rng)
-        r = concat_bound(a, b)
-        if r["hypothesis"] and r["bound"] < r["actual"]:
-            violations += 1
-        rows.append(({"trial": k}, seed, r))
-    rows.append(({"trial": -1}, seed, {"violations": violations}))
-    return rows, violations == 0
+    pairs = (sample_low_coherence_pair(p["rows"], p["cols"], rng) for _ in range(p["trials"]))
+    rows = [({"trial": k}, seed, concat_bound(a, b)) for k, (a, b) in enumerate(pairs)]
+    violations = sum(r["hypothesis"] and r["bound"] < r["actual"] for _, _, r in rows)
+    return rows + [({"trial": -1}, seed, {"violations": violations})], violations == 0
 
 
 def _cmd_beta_sweep(p: dict, seed: int):
     betas = _betas(p["betas"])
-    rows = []
-    all_norms = []
-    for k in range(p["trials"]):
-        norms = softmax_derivative_beta_sweep(p["n"], p["d"], p["alpha"], betas,
-                                              seed + k, p["temperature"])
-        all_norms.append(norms)
-        rows.append(({"trial": k}, seed + k,
-                     {f"norm_beta_{b:g}": v for b, v in zip(betas, norms)}))
-    med = np.median(np.array(all_norms), axis=0)
-    rows.append(({"trial": -1}, seed,
-                 {f"norm_beta_{b:g}": float(v) for b, v in zip(betas, med)}))
-    return rows, True
+    rows = _trials(p["trials"], seed, lambda s: {
+        f"norm_beta_{b:g}": v for b, v in zip(betas, softmax_derivative_beta_sweep(
+            p["n"], p["d"], p["alpha"], betas, s, p["temperature"]))})
+    return rows + [({"trial": -1}, seed, _medians(rows))], True
 
 
 def _cmd_profile(p: dict, seed: int):
@@ -404,6 +400,7 @@ def _cmd_train(p: dict, seed: int):
     else:
         ds = synth_task(p["n"], p["d"], p["classes"], p["samples"], p["noise"],
                         seed)
+    check_budget(p["d"], ds.class_count)  # the training head
     tc = TrainConfig(model=mc, init=_spec(p, p["scheme"], seed), optimizer=p["optimizer"],
                      lr=p["lr"], weight_decay=p["weight_decay"], steps=p["steps"],
                      batch_size=p["batch_size"],
@@ -423,30 +420,27 @@ def _cmd_train(p: dict, seed: int):
 
 
 def _cmd_init_report(p: dict, seed: int):
-    d = p["d"]
-    rows = []
-    for k in range(p["trials"]):
-        trial_seed = seed + k
-        w_v, w_o = orthonormal_vo(d, p["c"], trial_seed)
+    d, tokens = p["d"], p["tokens"]
+    check_budget(max(d, tokens), max(d, tokens))  # its d x d and token arrays
+
+    def measure(s):
+        w_v, w_o = orthonormal_vo(d, p["c"], s)
         sv = singular_values(w_v @ w_o)
-        w_q, w_k = mimetic_qk(d, d, p["alpha"], p["beta"], trial_seed)
+        w_q, w_k = mimetic_qk(d, d, p["alpha"], p["beta"], s)
         prod = w_q @ w_k.T
         # The product realizes alpha*Z + beta*I exactly when d_h = d, so
         # its diagonal mean and off-diagonal variance witness (alpha, beta).
-        off_mask = ~np.eye(d, dtype=bool)
-        rng = np.random.default_rng(trial_seed + 101)
-        x = rng.standard_normal((p["tokens"], d))
+        x = np.random.default_rng(s + 101).standard_normal((tokens, d))
         logits = x @ prod @ x.T
-        neg = logits + np.diag(np.full(p["tokens"], -np.inf))
-        margin = float(np.median(np.diagonal(logits) - neg.max(axis=1)))
-        rows.append(({"trial": k}, trial_seed,
-                     {"kappa_vo": condition_number(w_v @ w_o),
-                      "sv_max": float(sv[0]), "sv_min": float(sv[-1]),
-                      "c_squared": p["c"] ** 2,
-                      "qk_diag_mean": float(np.diagonal(prod).mean()),
-                      "qk_offdiag_var": float(prod[off_mask].var()),
-                      "median_margin": margin}))
-    return rows, True
+        neg = logits + np.diag(np.full(tokens, -np.inf))
+        return {"kappa_vo": condition_number(w_v @ w_o),
+                "sv_max": float(sv[0]), "sv_min": float(sv[-1]),
+                "c_squared": p["c"] ** 2,
+                "qk_diag_mean": float(np.diagonal(prod).mean()),
+                "qk_offdiag_var": float(prod[~np.eye(d, dtype=bool)].var()),
+                "median_margin": float(np.median(np.diagonal(logits) - neg.max(axis=1)))}
+
+    return _trials(p["trials"], seed, measure), True
 
 
 _COMMANDS = {

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import check_budget
 from .model import BlockParams, ModelConfig, NetworkParams, split_heads
 
 # (alpha, beta, c) presets: "supervised" is the headline setting, "selfsup"
@@ -124,20 +125,15 @@ def mlp_orthogonal(fan_in: int, fan_out: int, seed) -> np.ndarray:
 def init_network(config: ModelConfig, spec: InitSpec) -> NetworkParams:
     """Build all L blocks under the requested scheme.
 
-    Sub-seeds are spawned deterministically per (layer, tensor) from the
-    master seed, so any two tensors get independent streams and the whole
-    network is reproducible from ``spec`` alone.
+    The master seed spawns 8 streams per layer, so the whole network is
+    reproducible from ``spec`` alone.  Under ``default`` streams 0-5 feed W_Q,
+    W_K, W_V, W_O, mlp_W1 and mlp_W2.  Under ``proposed`` stream 0 spawns one
+    stream per head for that head's (W_Q, W_K) pair, stream 1 feeds the
+    (W_V, W_O) pair, and streams 4 and 5 feed mlp_W1 and mlp_W2.
     """
     master = np.random.SeedSequence(spec.seed)
-    layer_seqs = master.spawn(config.L)
-    blocks = []
-    for seq in layer_seqs:
-        streams = seq.spawn(8)
-        if spec.scheme == "default":
-            blocks.append(_default_block(config, streams))
-        else:
-            blocks.append(_proposed_block(config, spec, streams))
-    return NetworkParams(blocks=blocks)
+    return NetworkParams(blocks=[_block(config, spec, seq.spawn(8))
+                                 for seq in master.spawn(config.L)])
 
 
 def _lead_signs(m: np.ndarray) -> np.ndarray:
@@ -145,46 +141,22 @@ def _lead_signs(m: np.ndarray) -> np.ndarray:
     return np.where(m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])] < 0, -1.0, 1.0)
 
 
-def _trunc(rows, cols, seq) -> np.ndarray:
-    return truncated_normal(rows, cols, TRUNC_STD, TRUNC_BOUND, np.random.default_rng(seq))
-
-
-def _default_block(config: ModelConfig, streams) -> BlockParams:
-    d = config.d
-    bp = BlockParams(
-        W_Q=_trunc(d, d, streams[0]),
-        W_K=_trunc(d, d, streams[1]),
-        W_V=_trunc(d, d, streams[2]),
-        W_O=_trunc(d, d, streams[3]),
-    )
-    _attach_mlp(bp, config, streams, orthogonal=False)
-    return bp
-
-
-def _proposed_block(config: ModelConfig, spec: InitSpec, streams) -> BlockParams:
-    d, h = config.d, config.h
-    w_q, w_k = np.empty((d, d)), np.empty((d, d))
-    # Written through views into C-order buffers: mimetic_qk's W_K is
-    # column-major, and an operand's memory order picks the BLAS kernel, so
-    # the reports' bytes depend on it.  Each head has its own stream.
-    for i, s in enumerate(streams[0].spawn(h)):
-        split_heads(w_q, h)[i], split_heads(w_k, h)[i] = mimetic_qk(
-            d, config.d_h, spec.alpha, spec.beta, np.random.default_rng(s))
-    w_v, w_o = orthonormal_vo(d, spec.c, np.random.default_rng(streams[1]))
-    bp = BlockParams(W_Q=w_q, W_K=w_k, W_V=w_v, W_O=w_o)
-    _attach_mlp(bp, config, streams, orthogonal=True)
-    return bp
-
-
-def _attach_mlp(bp: BlockParams, config: ModelConfig, streams, orthogonal: bool) -> None:
-    if not config.use_mlp:
-        return
-    d, m = config.d, config.mlp_hidden
-    if orthogonal:
-        bp.mlp_W1 = mlp_orthogonal(d, m, np.random.default_rng(streams[4]))
-        bp.mlp_W2 = mlp_orthogonal(m, d, np.random.default_rng(streams[5]))
+def _block(config: ModelConfig, spec: InitSpec, streams) -> BlockParams:
+    """One block's tensors, each drawn as the scheme says (see init_network)."""
+    d, h, m = config.d, config.h, config.mlp_hidden
+    shapes = [(d, d)] * 4 + ([(d, m), (m, d)] if config.use_mlp else [])
+    check_budget(d, max(d, m))
+    if spec.scheme == "default":
+        w = [truncated_normal(*shape, TRUNC_STD, TRUNC_BOUND, s)
+             for shape, s in zip(shapes, streams)]
     else:
-        bp.mlp_W1 = _trunc(d, m, streams[4])
-        bp.mlp_W2 = _trunc(m, d, streams[5])
-    bp.mlp_b1 = np.zeros(m)
-    bp.mlp_b2 = np.zeros(d)
+        # W_Q and W_K are written through views into C-order buffers:
+        # mimetic_qk's W_K is column-major, and an operand's memory order
+        # picks the BLAS kernel, so the reports' bytes depend on it.
+        w = [np.empty(shape) for shape in shapes[:2]]
+        for i, s in enumerate(streams[0].spawn(h)):
+            split_heads(w[0], h)[i], split_heads(w[1], h)[i] = mimetic_qk(
+                d, config.d_h, spec.alpha, spec.beta, s)
+        w += orthonormal_vo(d, spec.c, streams[1])
+        w += [mlp_orthogonal(*shape, s) for shape, s in zip(shapes[4:], streams[4:])]
+    return BlockParams(*w[:4], *((w[4], np.zeros(m), w[5], np.zeros(d)) if config.use_mlp else ()))

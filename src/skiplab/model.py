@@ -33,6 +33,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.special import erf
 
+from .linalg import check_budget
+
 ACTIVATIONS = ("gelu", "relu", "identity")
 
 
@@ -145,26 +147,24 @@ class MLP(NamedTuple):
     cdf: np.ndarray | None
 
 
-def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard-normal cdf Phi(x); GELU(x) = x * Phi(x)."""
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def activation(name: str, x: np.ndarray) -> np.ndarray:
+def activation(name: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(act, cdf): the activation of x, gelu being x * Phi(x), and for gelu the
+    standard-normal cdf Phi(x) that its derivative reuses (None otherwise)."""
     if name == "gelu":
-        return x * gelu_cdf(x)
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        return x * cdf, cdf
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0), None
     if name == "identity":
-        return x
+        return x, None
     raise ValueError(f"unknown activation {name!r}")
 
 
 def activation_derivative(name: str, x: np.ndarray,
                           cdf: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise derivative; for gelu, ``cdf`` = gelu_cdf(x) is reused when given."""
+    """Elementwise derivative; for gelu, ``cdf`` = Phi(x) is reused when given."""
     if name == "gelu":
-        cdf = gelu_cdf(x) if cdf is None else cdf
+        cdf = activation(name, x)[1] if cdf is None else cdf
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         return cdf + x * pdf
     if name == "relu":
@@ -217,8 +217,7 @@ def mlp_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> MLP:
     """Two-layer MLP with biases on (..., n, d) tokens; stacked weights
     broadcast with the token batch."""
     pre = x @ params.mlp_W1 + params.mlp_b1
-    cdf = gelu_cdf(pre) if config.activation == "gelu" else None
-    act = pre * cdf if cdf is not None else activation(config.activation, pre)
+    act, cdf = activation(config.activation, pre)
     return MLP(act @ params.mlp_W2 + params.mlp_b2, pre, act, cdf)
 
 
@@ -239,7 +238,8 @@ def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) 
     Leading axes are a batch: every array in the trace keeps them, broadcast
     with any stack axes of the weights (see the module docstring).  Raises
     :class:`DivergenceError` naming the first layer whose output goes
-    non-finite (deep skipless stacks can overflow); never returns NaNs.
+    non-finite (deep skipless stacks can overflow); never returns NaNs.  An
+    attention past the ``linalg`` element budget raises BudgetError first.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-2:] != (config.n, config.d):
@@ -247,14 +247,14 @@ def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) 
                          f"{(config.n, config.d)}")
     if len(params.blocks) != config.L:
         raise ValueError(f"{len(params.blocks)} blocks for L={config.L}")
+    check_budget(x0.size // config.d * config.h, config.n)
     traces = []
     x = x0
     for layer, bp in enumerate(params.blocks):
         bt = block_forward(x, bp, config)
-        if not np.all(np.isfinite(bt.post_attention)):
-            raise DivergenceError(layer, "attention stage")
-        if not np.all(np.isfinite(bt.output)):
-            raise DivergenceError(layer, "mlp stage")
+        for stage, out in (("attention stage", bt.post_attention), ("mlp stage", bt.output)):
+            if not np.all(np.isfinite(out)):
+                raise DivergenceError(layer, stage)
         traces.append(bt)
         x = bt.output
     return ForwardTrace(x0=x0, blocks=traces, config=config, params=params)

@@ -389,9 +389,10 @@ def test_profile_param_jacobian_past_gauge_free_width_is_infinite(monkeypatch):
 @pytest.mark.parametrize("include_param_jacobian", [False, True])
 def test_profile_draws_only_traced_samples(include_param_jacobian):
     """With kappa(J) off, or INFINITE by structure (batch * nd past the
-    gauge-free width), only the first sample is traced, and only it is drawn:
-    a 20000-sample batch, 20 MB of draws, keeps the traced peak under a tenth
-    of that, and the metrics are those of a 5-sample batch."""
+    gauge-free width), only the first sample is traced.  Only it is drawn
+    with kappa(J) off, and with it only gauge-free width // nd + 1 = 5
+    samples: a 20000-sample batch, 20 MB of draws, keeps the traced peak
+    under a tenth of that, and the metrics are those of a 5-sample batch."""
     cfg = ModelConfig(L=1, n=8, d=16, h=1, attention_scale=4.0, use_skip=False,
                       mlp_hidden=16)
     spec, big = InitSpec(seed=3), 20_000

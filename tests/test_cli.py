@@ -361,6 +361,7 @@ _OUT_OF_RANGE = [
     (["profile", "--layers", "0"], "layers"),
     (["train", "--log-every", "-2"], "log_every"),
     (["init-report", "--d", "8", "--trials", "1", "--tokens", "1"], "tokens must be >= 2"),
+    (["init-report", "--d", "1", "--trials", "1"], "d must be >= 2"),
     (["beta-sweep", "--n", "1", "--d", "4", "--trials", "1"], "n must be >= 2"),
     (["profile", "--scale", "-2"], "scale must be >= 0"),
     (["ksplit", "--scale", "-1"], "scale must be >= 0"),
@@ -498,6 +499,48 @@ def test_train_dataset_over_budget_exit_1_before_drawing(tmp_path, capsys, monke
     rows = MAX_ELEMENTS // (4 * 8) + 1
     assert main(["train", "--n", "4", "--d", "8", flag, str(rows),
                  "--out", str(out)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Per command, flags that size one array past a budget of 4096 elements, the
+# first array the command would build: the n x n softmax input, the pooled
+# moment entries and a trial's d x d draw, a coherence pair's basis draw, Z and
+# X, init-report's d x d and tokens x tokens, ksplit's tokens, a block's
+# weights, and the training head of a tensor file's class count.
+_OVER_BUDGET = [
+    ["prop1", "--n", "100"],
+    ["moments", "--n", "40", "--d", "8"],
+    ["moments", "--n", "2", "--d", "80", "--trials", "1"],
+    ["concat-bound", "--rows", "400"],
+    ["beta-sweep", "--d", "80"],
+    ["beta-sweep", "--n", "1000", "--d", "8"],
+    ["init-report", "--d", "80"],
+    ["init-report", "--d", "8", "--tokens", "1000"],
+    ["ksplit", "--n", "1000", "--d", "8"],
+    ["profile", "--d", "80"],
+    ["profile", "--mlp-hidden", "1000"],
+    ["train", "--n", "4", "--d", "8", "--data", "WIDE"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVER_BUDGET, ids=" ".join)
+def test_flag_sized_array_over_budget_exit_1_before_drawing(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    """An array whose size a flag sets is checked against linalg.MAX_ELEMENTS
+    before its generator is made: exit 1 naming the budget, and no report."""
+    import skiplab.linalg
+    from skiplab.harness import Dataset, save_tensor_file
+    wide = tmp_path / "wide.skls"
+    save_tensor_file(wide, Dataset(np.zeros((1, 4, 8)), np.zeros(1, np.uint32), 1000))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generator made before the budget check")
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", 4096)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "r.csv"
+    argv = [str(wide) if a == "WIDE" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
 

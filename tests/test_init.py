@@ -148,6 +148,24 @@ def test_init_network_layers_differ():
         assert not np.allclose(net.blocks[0].mlp_W1, net.blocks[1].mlp_W1)
 
 
+@pytest.mark.parametrize("scheme", ["default", "proposed"])
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("mlp_hidden", [4, 16])
+def test_init_tensor_memory_order(scheme, h, mlp_hidden):
+    """An operand's memory order picks the BLAS kernel, so it moves report
+    bytes.  Every attention weight is C-order; the proposed mlp_W1 is F-order
+    when mlp_hidden > d and its mlp_W2 when mlp_hidden < d (mlp_orthogonal
+    transposes a QR factor); every other tensor is C-order."""
+    d = 8
+    cfg = ModelConfig(L=2, n=4, d=d, h=h, mlp_hidden=mlp_hidden)
+    for bp in init_network(cfg, InitSpec(scheme=scheme, seed=1)).blocks:
+        for name, w in vars(bp).items():
+            fortran = scheme == "proposed" and (
+                name == "mlp_W1" and mlp_hidden > d or name == "mlp_W2" and mlp_hidden < d)
+            assert (w.flags.c_contiguous, w.flags.f_contiguous) == (
+                (not fortran, fortran) if w.ndim == 2 else (True, True)), name
+
+
 def test_init_network_deterministic():
     cfg = ModelConfig(L=2, n=4, d=8, h=2, use_mlp=True, mlp_hidden=8)
     a = init_network(cfg, InitSpec(scheme="proposed", seed=16))

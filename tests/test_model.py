@@ -257,6 +257,20 @@ def test_network_forward_divergence_names_layer():
         assert info.value.layer == 0
 
 
+def test_network_forward_attention_past_budget_raises(monkeypatch):
+    """The (..., h, n, n) attention of a batch is one array under the element
+    budget: one element past it raises BudgetError before the first block."""
+    import skiplab.linalg
+    cfg = small_config()
+    params = random_params(cfg)
+    x = np.ones((3, cfg.n, cfg.d))
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", 3 * cfg.h * cfg.n * cfg.n)
+    network_forward(x, params, cfg)
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", 3 * cfg.h * cfg.n * cfg.n - 1)
+    with pytest.raises(skiplab.linalg.BudgetError):
+        network_forward(x, params, cfg)
+
+
 def test_network_forward_checks_token_axes():
     """Leading axes are a batch; the last two must be (n, d)."""
     cfg = small_config()
