@@ -280,10 +280,14 @@ def layer_condition_profile(config: ModelConfig, spec: InitSpec,
     Only the first rows of one (batch_size, n, d) standard-normal draw from
     ``seed`` are drawn: one without kappa(J), and with it at most
     gauge_free_width // nd + 1, enough to make kappa(J) INFINITE by structure.
+    That batch and a sample's (h*n, n) attention are checked against the
+    element budget before the weights are built and the batch is drawn.
     """
-    weights = {s: init_network(config, replace(spec, scheme=s)) for s in ("default", "proposed")}
     draws = (min(batch_size, gauge_free_width(config) // (config.n * config.d) + 1)
              if include_param_jacobian else 1)
+    check_budget(draws * config.n, config.d)
+    check_budget(config.h * config.n, config.n)
+    weights = {s: init_network(config, replace(spec, scheme=s)) for s in ("default", "proposed")}
     batch = np.random.default_rng(seed).standard_normal((draws, config.n, config.d))
     return {regime: condition_profile_for_params(
                 weights[scheme], replace(config, use_skip=use_skip), batch, include_param_jacobian)

@@ -49,7 +49,7 @@ from .init import PRESETS, InitSpec, init_network, mimetic_qk, orthonormal_vo
 from .jacobian import fd_check_instance
 from .linalg import (BudgetError, SvdConvergenceError, check_budget, condition_number,
                      singular_values)
-from .model import ModelConfig, network_forward
+from .model import ModelConfig, check_stack_budget, network_forward
 
 FORMATS = ("csv", "records")
 
@@ -395,6 +395,7 @@ def _cmd_profile(p: dict, seed: int):
 
 def _cmd_train(p: dict, seed: int):
     mc = _model(p, L=p["layers"], use_skip=p["skip"], mlp_hidden=p["mlp_hidden"])
+    check_stack_budget(mc)  # before the dataset is drawn
     if p["data"]:
         ds = load_tensor_file(p["data"])
     else:

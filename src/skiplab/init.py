@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_budget
-from .model import BlockParams, ModelConfig, NetworkParams, split_heads
+from .model import BlockParams, ModelConfig, NetworkParams, check_stack_budget, split_heads
 
 # (alpha, beta, c) presets: "supervised" is the headline setting, "selfsup"
 # the alternative used for the smaller self-supervised backbone.
@@ -129,8 +128,10 @@ def init_network(config: ModelConfig, spec: InitSpec) -> NetworkParams:
     reproducible from ``spec`` alone.  Under ``default`` streams 0-5 feed W_Q,
     W_K, W_V, W_O, mlp_W1 and mlp_W2.  Under ``proposed`` stream 0 spawns one
     stream per head for that head's (W_Q, W_K) pair, stream 1 feeds the
-    (W_V, W_O) pair, and streams 4 and 5 feed mlp_W1 and mlp_W2.
+    (W_V, W_O) pair, and streams 4 and 5 feed mlp_W1 and mlp_W2.  The whole
+    stack is checked against the element budget before any stream is drawn.
     """
+    check_stack_budget(config)
     master = np.random.SeedSequence(spec.seed)
     return NetworkParams(blocks=[_block(config, spec, seq.spawn(8))
                                  for seq in master.spawn(config.L)])
@@ -145,7 +146,6 @@ def _block(config: ModelConfig, spec: InitSpec, streams) -> BlockParams:
     """One block's tensors, each drawn as the scheme says (see init_network)."""
     d, h, m = config.d, config.h, config.mlp_hidden
     shapes = [(d, d)] * 4 + ([(d, m), (m, d)] if config.use_mlp else [])
-    check_budget(d, max(d, m))
     if spec.scheme == "default":
         w = [truncated_normal(*shape, TRUNC_STD, TRUNC_BOUND, s)
              for shape, s in zip(shapes, streams)]

@@ -54,9 +54,9 @@ import numpy as np
 from .linalg import (BudgetError, check_budget, commutation_permutation, kron,
                      kron_eye_apply, unvec, vec)
 from .model import (BlockParams, ForwardTrace, ModelConfig, NetworkParams,
-                    activation_derivative, attention_backward, mlp_forward,
-                    network_backward, network_forward, row_softmax, self_attention,
-                    split_heads)
+                    activation_derivative, attention_backward, check_stack_budget,
+                    mlp_forward, network_backward, network_forward, row_softmax,
+                    self_attention, split_heads)
 
 # Dense nd x nd materialization cap.  Like linalg.MAX_ELEMENTS it counts the
 # one matrix: an SVD of it takes about as much again for LAPACK's copy.
@@ -394,17 +394,18 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
     Gaussian weights of moderate size (``FD_WEIGHT_STD``) keep the maps in
     generic position (tiny default-init weights would make relative errors
     meaningless).  Each map handed to the oracle evaluates a stack of points
-    as one stacked forward."""
+    as one stacked forward.  The three networks share one shape, which is
+    checked against the element budget before anything is drawn."""
+    skipless = ModelConfig(L=layers, n=n, d=d, h=h, attention_scale=scale,
+                           activation="gelu", use_skip=False, use_mlp=True, mlp_hidden=d)
+    check_stack_budget(skipless)
     rng = np.random.default_rng(seed)
     # (std, shape) of W_Q, W_K, W_V, W_O, W1, b1, W2, b2: BlockParams' order.
     weight, bias = (FD_WEIGHT_STD, (d, d)), (0.1, (d,))
     draws = (weight,) * 5 + (bias, weight, bias)
 
     def random_network(use_skip: bool) -> tuple[ModelConfig, NetworkParams]:
-        cfg = ModelConfig(L=layers, n=n, d=d, h=h, attention_scale=scale,
-                          activation="gelu", use_skip=use_skip, use_mlp=True,
-                          mlp_hidden=d)
-        return cfg, NetworkParams([
+        return replace(skipless, use_skip=use_skip), NetworkParams([
             BlockParams(*(std * rng.standard_normal(shape) for std, shape in draws))
             for _ in range(layers)])
 

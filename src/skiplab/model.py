@@ -37,6 +37,9 @@ from .linalg import check_budget
 
 ACTIVATIONS = ("gelu", "relu", "identity")
 
+# The smallest normal float64; network_backward flushes cotangents below it.
+_TINY = np.finfo(float).tiny
+
 
 class DivergenceError(FloatingPointError):
     """A forward intermediate went non-finite; carries the offending layer."""
@@ -79,6 +82,14 @@ class ModelConfig:
     @property
     def d_h(self) -> int:
         return self.d // self.h
+
+
+def check_stack_budget(config: ModelConfig) -> None:
+    """BudgetError before a stack of L blocks is built past the element
+    budget: L x (4d^2 + 2d*mlp_hidden + d + mlp_hidden) weights in all, which
+    also bounds each weight and the trainer's flat parameter vector."""
+    d, m = config.d, config.mlp_hidden if config.use_mlp else 0
+    check_budget(config.L, 4 * d * d + (2 * d * m + d + m if m else 0))
 
 
 @dataclass
@@ -189,13 +200,24 @@ def merge_heads(t: np.ndarray) -> np.ndarray:
 
 
 def row_softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of m / temperature, stabilized by row-max subtraction."""
+    """Row-wise softmax of m / temperature, stabilized by row-max subtraction.
+
+    numpy reduces along a short last axis one row at a time, about 65 ns a
+    row, and a stacked forward of the finite-difference oracle holds
+    thousands of short rows.  So the row max is one elementwise reduction
+    over the rows of a contiguous z^T: a max is exact, so the bits are those
+    of the row-wise max.  The row sum stays row-wise, because its pairwise
+    order fixes the bits.  The division by the temperature makes z a private
+    copy, so the shift, exp and normalization run in place on it.
+    """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     z = np.asarray(m, dtype=float) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    n = z.shape[-1]
+    z -= np.ascontiguousarray(z.reshape(-1, n).T).max(axis=0).reshape(*z.shape[:-1], 1)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def self_attention(x: np.ndarray, params: BlockParams, config: ModelConfig) -> Attention:
@@ -291,6 +313,9 @@ def network_backward(trace: ForwardTrace, cotangent: np.ndarray) -> Iterator[tup
         if cfg.use_mlp:
             dpre = (dx @ bp.mlp_W2.swapaxes(-1, -2)) * activation_derivative(
                 cfg.activation, bt.mlp.pre, bt.mlp.cdf)
+            # Far-negative pre-activations give subnormal gelu' and cotangents,
+            # which slow the matmuls that read dpre by up to 30x.
+            dpre[np.abs(dpre) < _TINY] = 0.0
             pairs = {"mlp_W1": (bt.post_attention, dpre), "mlp_b1": (None, dpre),
                      "mlp_W2": (bt.mlp.act, dx), "mlp_b2": (None, dx)}
             dx_attn = dpre @ bp.mlp_W1.swapaxes(-1, -2)

@@ -520,7 +520,12 @@ _OVER_BUDGET = [
     ["ksplit", "--n", "1000", "--d", "8"],
     ["profile", "--d", "80"],
     ["profile", "--mlp-hidden", "1000"],
+    ["profile", "--n", "100", "--d", "8"],
     ["train", "--n", "4", "--d", "8", "--data", "WIDE"],
+    # Each block fits the budget; the 200-block stack does not.
+    ["train", "--n", "4", "--d", "8", "--samples", "8", "--layers", "200"],
+    ["profile", "--d", "8", "--layers", "200"],
+    ["jacobian-check", "--d", "8", "--layers", "200"],
 ]
 
 

@@ -207,3 +207,22 @@ def test_init_network_proposed_margin_positive_median():
         off = logits + np.diag(np.full(n, -np.inf))
         margins.extend(np.diagonal(logits) - off.max(axis=1))
     assert np.median(margins) > 0.0
+
+
+@pytest.mark.parametrize("use_mlp", [True, False])
+def test_init_network_budgets_the_whole_stack(monkeypatch, use_mlp):
+    """L x (4d^2 + 2d*mlp_hidden + d + mlp_hidden) weights (4d^2 a block
+    without an MLP) fit a budget of exactly that many elements; one element
+    less raises BudgetError before any stream is drawn."""
+    import skiplab.linalg
+    cfg = ModelConfig(L=5, n=2, d=4, use_mlp=use_mlp, mlp_hidden=6)
+    total = 5 * (4 * 16 + (2 * 4 * 6 + 4 + 6 if use_mlp else 0))
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", total)
+    init_network(cfg, InitSpec())
+    monkeypatch.setattr(skiplab.linalg, "MAX_ELEMENTS", total - 1)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("stream drawn before the budget check")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(skiplab.linalg.BudgetError):
+        init_network(cfg, InitSpec())

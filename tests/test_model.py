@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from skiplab.init import InitSpec, init_network
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skiplab.model import (BlockParams, DivergenceError, ModelConfig,
-                           NetworkParams, attention_backward, block_forward,
+                           NetworkParams, activation_derivative,
+                           attention_backward, block_forward,
                            merge_heads, mlp_forward, network_backward,
                            network_forward, row_softmax,
                            self_attention, split_heads)
@@ -82,6 +83,52 @@ def test_row_softmax_temperature_moves_toward_uniform():
 def test_row_softmax_rejects_bad_temperature():
     with pytest.raises(ValueError):
         row_softmax(np.zeros((2, 2)), 0.0)
+
+
+def _rowwise_max_softmax(m, temperature):
+    """The oracle: row_softmax with its max taken along the last axis."""
+    z = np.asarray(m, dtype=float) / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lead=st.lists(st.integers(1, 4), max_size=3), n=st.integers(1, 40),
+       temperature=st.sampled_from([1.0, 0.3, 2.5, np.sqrt(8.0)]),
+       values=st.sampled_from(["normal", "ties", "signed_zeros", "huge", "nonfinite"]),
+       layout=st.sampled_from(["C", "F", "swapped"]), seed=st.integers(0, 2**16))
+@example(lead=[], n=1, temperature=1.0, values="normal", layout="C", seed=0)
+@example(lead=[], n=40, temperature=0.3, values="nonfinite", layout="C", seed=1)
+@example(lead=[2, 3, 4], n=40, temperature=2.5, values="huge", layout="F", seed=2)
+def test_property_row_softmax_bits_equal_rowwise_max(lead, n, temperature, values,
+                                                    layout, seed):
+    """The slab row max gives the bits, NaNs and memory layout of the
+    row-wise max on any input, and leaves the caller's array unchanged."""
+    rng = np.random.default_rng(seed)
+    shape = (*lead, n)
+    m = rng.standard_normal(shape)
+    if values == "ties":
+        m = np.round(2.0 * m)
+    elif values == "signed_zeros":
+        m = np.where(rng.random(shape) < 0.5, 0.0, -0.0) - (rng.random(shape) < 0.2)
+    elif values == "huge":
+        m = m * 1e307
+    elif values == "nonfinite":
+        m.flat[rng.integers(0, m.size, 3)] = [np.inf, -np.inf, np.nan]
+        m.reshape(-1, n)[-1] = -np.inf  # a whole row of -inf
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout == "swapped" and m.ndim > 1:
+        m = np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2)
+    before = m.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = row_softmax(m, temperature), _rowwise_max_softmax(m, temperature)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, NaNs included
+    assert ([s for s, k in zip(got.strides, got.shape) if k > 1]
+            == [s for s, k in zip(want.strides, want.shape) if k > 1])
+    assert m.tobytes() == before
 
 
 def test_attention_logits_matches_triple_product():
@@ -437,3 +484,27 @@ def test_network_backward_on_stacked_weights_equals_each_slice(use_skip):
                 for g, w in zip(pairs[name], factors):
                     assert (g is None and w is None
                             or np.array_equal(np.broadcast_to(g, (3, *w.shape))[i], w)), name
+
+
+def test_network_backward_flushes_subnormal_gelu_cotangents():
+    """Pre-activations near -37.8 make gelu' subnormal: the backward's dpre
+    holds no subnormal entry, and equals the unflushed cotangent wherever
+    that is normal."""
+    cfg = small_config(L=1, h=1, use_skip=False)
+    params = random_params(cfg, seed=3)
+    bp = params.blocks[0]
+    bp.mlp_W1 = 1e-3 * bp.mlp_W1
+    bp.mlp_b1 = np.array([-37.8, -37.6, -37.9, 0.2, -1.0, 1.5])
+    rng = np.random.default_rng(4)
+    trace = network_forward(rng.standard_normal((cfg.n, cfg.d)), params, cfg)
+    dout = rng.standard_normal((cfg.n, cfg.d))
+    unflushed = (dout @ bp.mlp_W2.T) * activation_derivative(
+        cfg.activation, trace.blocks[0].mlp.pre, trace.blocks[0].mlp.cdf)
+    tiny = np.finfo(float).tiny
+    normal = np.abs(unflushed) >= tiny
+    assert np.any(~normal & (unflushed != 0.0)) and np.any(normal)
+    (_, pairs), = network_backward(trace, dout)
+    dpre = pairs["mlp_W1"][1]
+    assert np.all((dpre == 0.0) | (np.abs(dpre) >= tiny))
+    assert np.array_equal(dpre[normal], unflushed[normal])
+    assert np.all(dpre[~normal] == 0.0)
