@@ -73,6 +73,9 @@ def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
         raise ValueError("trials must be >= 1")
     if n < 2:
         raise ValueError("need n >= 2 for off-diagonal moments")
+    for key, value in (("alpha", alpha), ("beta", beta)):
+        if np.isinf(value * value):  # the closed forms square it
+            raise ValueError(f"{key} squared overflows, got {value!r}")
     width = max(n, d)
     check_budget(trials, n * n)  # every trial's pooled entries
     check_budget(width, width)  # one trial's draws

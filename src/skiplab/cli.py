@@ -422,6 +422,7 @@ def _cmd_train(p: dict, seed: int):
 
 def _cmd_init_report(p: dict, seed: int):
     d, tokens = p["d"], p["tokens"]
+    _spec(p, "proposed", seed)  # the init every other command accepts
     check_budget(max(d, tokens), max(d, tokens))  # its d x d and token arrays
 
     def measure(s):

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from .linalg import check_budget
 
@@ -162,6 +161,7 @@ def activation(name: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]
     """(act, cdf): the activation of x, gelu being x * Phi(x), and for gelu the
     standard-normal cdf Phi(x) that its derivative reuses (None otherwise)."""
     if name == "gelu":
+        from scipy.special import erf  # at call time: half of start-up, for GELU alone
         cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         return x * cdf, cdf
     if name == "relu":

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +384,12 @@ _OUT_OF_RANGE = [
     (["jacobian-check", "--tolerance", "nan"], "tolerance must be finite"),
     (["train", "--n", "4", "--d", "8", "--layers", "1", "--mlp-hidden", "8",
       "--samples", "8", "--steps", "2", "--weight-decay", "-1"], "weight_decay must be >= 0"),
+    (["moments", "--alpha", "1e200"], "alpha squared overflows"),
+    (["moments", "--beta", "1e200"], "beta squared overflows"),
+    (["init-report", "--d", "8", "--trials", "1", "--c", "0"], "c > 0"),
+    (["init-report", "--d", "8", "--trials", "1", "--c", "-1"], "c > 0"),
+    (["init-report", "--d", "8", "--trials", "1", "--alpha", "-1"], "alpha, beta >= 0"),
+    (["init-report", "--d", "8", "--trials", "1", "--beta", "-1"], "alpha, beta >= 0"),
 ]
 
 
@@ -554,3 +563,41 @@ def test_usage_error_exit_code():
     assert main(["prop1", "--alpha", "frog", "--out", "x.csv"]) == 2
     assert main([]) == 2
     assert main(["nonsense", "--out", "x.csv"]) == 2
+
+
+_SCIPY_SPECIAL_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+import numpy as np
+from skiplab.cli import main
+loaded = ["scipy.special" in sys.modules]
+with tempfile.TemporaryDirectory() as tmp:
+    out = str(Path(tmp) / "r.csv")
+    codes = [main(["init-report", "--d", "8", "--trials", "1", "--out", out])]
+    loaded.append("scipy.special" in sys.modules)
+    codes.append(main(["profile", *json.loads(sys.argv[1]), "--out", out]))
+    loaded.append("scipy.special" in sys.modules)
+from scipy.special import erf
+from skiplab.model import activation
+x = np.linspace(-9.0, 9.0, 181)
+act, cdf = activation("gelu", x)
+expected = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "gelu_bits_equal": act.tobytes() == expected.tobytes()}))
+"""
+
+
+def test_scipy_special_loads_only_when_a_gelu_runs():
+    """scipy.special, read for erf alone, is about half of a fresh command's
+    start-up: importing the CLI and running a command without an MLP leave
+    it unloaded, a profile (GELU MLP) loads it, and the GELU is the same erf
+    expression bit for bit.  Checked in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE,
+                           json.dumps(_SMALL["profile"])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == {"codes": [0, 0], "loaded": [False, False, True],
+                                       "gelu_bits_equal": True}
