@@ -31,8 +31,8 @@ from .jacobian import (add_dominant_term, batch_param_jacobian, gauge_free_width
                        logits_input_jacobian, mlp_token_blocks, sa_input_jacobian, sa_split,
                        softmax_jacobian)
 from . import linalg
-from .linalg import (check_budget, condition_from_singular_values, condition_number,
-                     kron_eye_apply, singular_values, spectral_norm)
+from .linalg import (check_budget, check_square, condition_from_singular_values,
+                     condition_number, kron_eye_apply, singular_values, spectral_norm)
 from .model import ModelConfig, network_forward, row_softmax
 
 MOMENT_CHUNK = 2000  # most gram_moments trials drawn per vectorized batch
@@ -73,9 +73,10 @@ def gram_moments(n: int, d: int, alpha: float, beta: float, trials: int,
         raise ValueError("trials must be >= 1")
     if n < 2:
         raise ValueError("need n >= 2 for off-diagonal moments")
-    for key, value in (("alpha", alpha), ("beta", beta)):
-        if np.isinf(value * value):  # the closed forms square it
-            raise ValueError(f"{key} squared overflows, got {value!r}")
+    # The margin variance sums trials*n*(n-1) squares of about
+    # alpha^2 (2d + 2) + beta^2 3d, its closed form.
+    for key, value, weight in (("alpha", alpha, 2 * d + 2), ("beta", beta, 3 * d)):
+        check_square(key, value, trials * n * (n - 1) * weight)
     width = max(n, d)
     check_budget(trials, n * n)  # every trial's pooled entries
     check_budget(width, width)  # one trial's draws

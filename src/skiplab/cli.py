@@ -47,8 +47,8 @@ from .analysis import (REGIMES, concat_bound, gram_moments, layer_condition_prof
 from .harness import TrainConfig, load_tensor_file, synth_task, train
 from .init import PRESETS, InitSpec, init_network, mimetic_qk, orthonormal_vo
 from .jacobian import fd_check_instance
-from .linalg import (BudgetError, SvdConvergenceError, check_budget, condition_number,
-                     singular_values)
+from .linalg import (BudgetError, SvdConvergenceError, check_budget, check_square,
+                     condition_number, singular_values)
 from .model import ModelConfig, check_stack_budget, network_forward
 
 FORMATS = ("csv", "records")
@@ -423,6 +423,10 @@ def _cmd_train(p: dict, seed: int):
 def _cmd_init_report(p: dict, seed: int):
     d, tokens = p["d"], p["tokens"]
     _spec(p, "proposed", seed)  # the init every other command accepts
+    # W_V W_O = c^2 U V^T, and qk_offdiag_var sums d(d-1) squared entries of
+    # W_Q W_K^T = alpha Z + beta I, each at most alpha ||Z|| + beta.
+    for key, terms in (("alpha", d * d), ("beta", d * d), ("c", 1)):
+        check_square(key, p[key], terms)
     check_budget(max(d, tokens), max(d, tokens))  # its d x d and token arrays
 
     def measure(s):

@@ -46,6 +46,15 @@ def check_budget(rows: int, cols: int) -> None:
         )
 
 
+def check_square(key: str, value: float, terms: float) -> None:
+    """Raise ValueError naming ``key`` before anything is drawn when a
+    command's sum of ``terms`` squares of size ``value``**2 would come within
+    2**20 of overflow.  The margin covers the draws' own spread: one squared
+    entry would have to lie about 1,000 standard deviations out to use it."""
+    if np.isinf(value * value * terms * 2.0**20):
+        raise ValueError(f"{key} squared overflows in a sum of {terms:g} squares, got {value!r}")
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-major vectorization: stack the columns of ``m`` into one vector,
     matrix by matrix over any leading axes, (..., r, c) -> (..., r*c)."""

@@ -27,6 +27,9 @@ backward takes stacked weights too.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -157,12 +160,36 @@ class MLP(NamedTuple):
     cdf: np.ndarray | None
 
 
+@functools.cache
+def _scipy_erf():
+    """scipy.special.erf, the same ufunc object, read once per process from
+    the extension module that defines it: scipy.special's package init (about
+    290 modules and 24 MB) never runs.  The extension leaves sys.modules
+    again, or a later ``import scipy.special`` would not bind it.  With
+    scipy.special loaded already, or erf kept elsewhere, it is imported."""
+    import importlib.machinery
+    import importlib.util
+    name = "scipy.special._special_ufuncs"
+    scipy_spec = None if "scipy.special" in sys.modules else importlib.util.find_spec("scipy")
+    spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "special") for p in scipy_spec.submodule_search_locations])
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.modules.pop(name, None)
+        if hasattr(module, "erf"):
+            return module.erf
+    from scipy.special import erf
+    return erf
+
+
 def activation(name: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(act, cdf): the activation of x, gelu being x * Phi(x), and for gelu the
     standard-normal cdf Phi(x) that its derivative reuses (None otherwise)."""
     if name == "gelu":
-        from scipy.special import erf  # at call time: half of start-up, for GELU alone
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        cdf = 0.5 * (1.0 + _scipy_erf()(x / np.sqrt(2.0)))
         return x * cdf, cdf
     if name == "relu":
         return np.maximum(x, 0.0), None

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import fresh_interpreter
 from skiplab.init import InitSpec, init_network
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from skiplab.model import (BlockParams, DivergenceError, ModelConfig,
                            attention_backward, block_forward,
                            merge_heads, mlp_forward, network_backward,
                            network_forward, row_softmax,
-                           self_attention, split_heads)
+                           self_attention, split_heads, _scipy_erf)
 
 
 def small_config(**kw):
@@ -508,3 +509,74 @@ def test_network_backward_flushes_subnormal_gelu_cotangents():
     assert np.all((dpre == 0.0) | (np.abs(dpre) >= tiny))
     assert np.array_equal(dpre[normal], unflushed[normal])
     assert np.all(dpre[~normal] == 0.0)
+
+
+_ERF_GRID_PROBE = """
+import json, sys
+import numpy as np
+from skiplab.model import _scipy_erf
+erf = _scipy_erf()
+left = [m for m in ("scipy.special", "scipy.special._special_ufuncs") if m in sys.modules]
+big = np.finfo(float)
+mags = np.concatenate([np.linspace(0.0, 10.0, 2001), np.logspace(-323.0, 308.0, 2000),
+                       [5e-324, big.tiny / 3, big.tiny, 1e308, big.max, np.inf]])
+t = np.concatenate([mags, -mags, [np.nan, -np.nan]])
+got = erf(t)
+import scipy.special
+print(json.dumps({"left": left, "same_object": erf is scipy.special.erf,
+                  "bits_equal": got.tobytes() == scipy.special.erf(t).tobytes()}))
+"""
+
+
+def test_loaded_erf_is_scipy_special_erf_bit_for_bit():
+    """The erf read from scipy's extension module, before scipy.special is
+    imported, leaves neither module in sys.modules and gives
+    scipy.special.erf's bits over |t| up to 1e308, with +-0, +-inf, NaN and
+    subnormals.  Checked in a fresh interpreter."""
+    assert fresh_interpreter(_ERF_GRID_PROBE) == {"left": [], "same_object": True,
+                                                  "bits_equal": True}
+
+
+_ERF_FALLBACK_PROBE = """
+import importlib.machinery, importlib.util, json, sys
+from skiplab.model import _scipy_erf
+finder = importlib.machinery.PathFinder
+kept, real = finder.__dict__["find_spec"], finder.find_spec
+
+def miss(name, path=None, target=None):
+    if name != "scipy.special._special_ufuncs":
+        return real(name, path, target)
+    finder.find_spec = kept  # one miss: scipy.special's own import finds it
+    return importlib.util.spec_from_file_location(name, sys.argv[1]) if sys.argv[1:] else None
+
+finder.find_spec = miss
+erf = _scipy_erf()
+loaded = "scipy.special" in sys.modules
+import scipy.special
+with scipy.special.errstate(all="ignore"):
+    pass
+print(json.dumps({"loaded": loaded, "same_object": erf is scipy.special.erf}))
+"""
+
+
+@pytest.mark.parametrize("no_erf_module", [False, True], ids=["not-found", "no-erf"])
+def test_scipy_erf_falls_back_to_scipy_special(tmp_path, no_erf_module):
+    """When the lookup of the extension misses, or finds a module without
+    erf, the loader imports scipy.special and returns its erf."""
+    args = []
+    if no_erf_module:
+        (tmp_path / "no_erf.py").write_text("x = 1\n")
+        args = [str(tmp_path / "no_erf.py")]
+    assert fresh_interpreter(_ERF_FALLBACK_PROBE, *args) == {"loaded": True, "same_object": True}
+
+
+def test_scipy_erf_reads_a_loaded_scipy_special(monkeypatch):
+    """With scipy.special already imported the loader looks nothing up."""
+    import importlib.machinery
+    import scipy.special
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("looked up the extension")
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_lookup)
+    assert _scipy_erf.__wrapped__() is scipy.special.erf
