@@ -27,9 +27,8 @@ from dataclasses import replace
 import numpy as np
 
 from .init import InitSpec, init_network
-from .jacobian import (add_dominant_term, batch_param_jacobian, gauge_free_width,
-                       logits_input_jacobian, mlp_token_blocks, sa_input_jacobian, sa_split,
-                       softmax_jacobian)
+from .jacobian import (add_dominant_term, attention_input_jacobian, batch_param_jacobian,
+                       gauge_free_width, mlp_token_blocks, sa_input_jacobian, sa_split)
 from . import linalg
 from .linalg import (check_budget, check_square, condition_from_singular_values,
                      condition_number, kron_eye_apply, singular_values, spectral_norm)
@@ -224,8 +223,7 @@ def softmax_derivative_beta_sweep(n: int, d: int, alpha: float,
     for beta in betas:
         p = alpha * z + beta * np.eye(d)
         a = row_softmax(x @ p @ x.T, temperature)
-        a_prime = softmax_jacobian(a) @ logits_input_jacobian(x, p, temperature)
-        norms.append(spectral_norm(a_prime))
+        norms.append(spectral_norm(attention_input_jacobian(a, x, p, temperature)))
     return norms
 
 

@@ -67,16 +67,18 @@ class RunConfig:
     format: str = "csv"
 
 
-# Per-command parameter schema: name -> (python type, default).
-# A None default marks the parameter as required.  The init constants default
-# to the supervised preset.
+# Per-command parameter schema: name -> (python type, default[, least value]).
+# A None default marks the parameter as required.  An int's least value is 1
+# unless given: 0 where 0 means "never" or (mlp_hidden) 4d, 2 where an n x n or
+# d x d matrix needs an off-diagonal.  The init constants default to the
+# supervised preset.
 _ALPHA, _BETA, _C = PRESETS["supervised"]
 _COMMON = {"out": (str, None), "format": (str, "csv"), "seed": (int, 0)}
 
 SCHEMAS: dict[str, dict] = {
-    "prop1": {"n": (int, 10), "alpha": (float, 0.1), "beta": (float, 0.0),
+    "prop1": {"n": (int, 10, 2), "alpha": (float, 0.1), "beta": (float, 0.0),
               "temperature": (float, 1.0), "trials": (int, 100)},
-    "moments": {"n": (int, 4), "d": (int, 64), "alpha": (float, _ALPHA),
+    "moments": {"n": (int, 4, 2), "d": (int, 64), "alpha": (float, _ALPHA),
                 "beta": (float, _BETA), "trials": (int, 100000)},
     "jacobian-check": {"n": (int, 6), "d": (int, 8), "heads": (int, 2),
                        "layers": (int, 3), "seeds": (int, 20),
@@ -86,16 +88,16 @@ SCHEMAS: dict[str, dict] = {
                "beta": (float, _BETA), "c": (float, _C), "scale": (float, 0.0),
                "trials": (int, 10)},
     "concat-bound": {"rows": (int, 32), "cols": (int, 8), "trials": (int, 1000)},
-    "beta-sweep": {"n": (int, 10), "d": (int, 32), "alpha": (float, _ALPHA),
+    "beta-sweep": {"n": (int, 10, 2), "d": (int, 32), "alpha": (float, _ALPHA),
                    "betas": (str, "0,1,2,4,8"), "trials": (int, 20),
                    "temperature": (float, 1.0)},
     "profile": {"n": (int, 8), "d": (int, 16), "heads": (int, 1),
-                "layers": (int, 1), "mlp_hidden": (int, 32),
+                "layers": (int, 1), "mlp_hidden": (int, 32, 0),
                 "batch_size": (int, 2), "alpha": (float, _ALPHA),
                 "beta": (float, _BETA), "c": (float, _C), "scale": (float, 0.0),
                 "param_jacobian": (bool, True)},
     "train": {"n": (int, 8), "d": (int, 64), "heads": (int, 1),
-              "layers": (int, 6), "mlp_hidden": (int, 128),
+              "layers": (int, 6), "mlp_hidden": (int, 128, 0),
               "classes": (int, 10), "samples": (int, 256),
               "noise": (float, 0.1), "data": (str, ""),
               "skip": (bool, False), "scheme": (str, "proposed"),
@@ -103,10 +105,10 @@ SCHEMAS: dict[str, dict] = {
               "scale": (float, 0.0), "optimizer": (str, "adam_decoupled"),
               "lr": (float, 1e-3), "weight_decay": (float, 0.0),
               "steps": (int, 2000), "batch_size": (int, 8),
-              "log_every": (int, 1), "kappa_probe_every": (int, 0)},
-    "init-report": {"d": (int, 64), "alpha": (float, _ALPHA),
+              "log_every": (int, 1, 0), "kappa_probe_every": (int, 0, 0)},
+    "init-report": {"d": (int, 64, 2), "alpha": (float, _ALPHA),
                     "beta": (float, _BETA), "c": (float, _C),
-                    "trials": (int, 10), "tokens": (int, 16)},
+                    "trials": (int, 10), "tokens": (int, 16, 2)},
 }
 
 
@@ -181,7 +183,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         i += 2
 
     resolved = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, *_) in schema.items():
         if key in values:
             resolved[key] = values[key]
         elif default is None:
@@ -271,22 +273,16 @@ def _betas(text: str) -> list[float]:
 
 def _check_ranges(command: str, p: dict) -> None:
     """Reject values the schema types admit but no command can run; the
-    ValueError names the key.  Integers must be >= 1, except that the two
-    intervals read 0 as "never", mlp_hidden 0 means 4d (see ModelConfig), a
-    one-token softmax is constant, so the token counts it runs over need >= 2,
-    and init-report's d needs >= 2, as a 1 x 1 product has no off-diagonal.
-    An attention scale must be >= 0 (0 means sqrt(d/h)); jacobian-check uses it
-    as given, so it must be > 0 there.  Every float must be finite."""
+    ValueError names the key.  An integer must be at least the least value of
+    its SCHEMAS entry, 1 where the entry gives none.  An attention scale must
+    be >= 0 (0 means sqrt(d/h)); jacobian-check uses it as given, so it must
+    be > 0 there.  Every float must be finite."""
     if "scale" in p:
         given = command == "jacobian-check"
         if not (p["scale"] > 0.0 if given else p["scale"] >= 0.0):
             raise ValueError(f"scale must be {'>' if given else '>='} 0, got {p['scale']}")
     for key, value in p.items():
-        kind = SCHEMAS[command][key][0]
-        low = (0 if key in ("log_every", "kappa_probe_every", "mlp_hidden")
-               else 2 if (command, key) in (("init-report", "tokens"), ("init-report", "d"),
-                                            ("beta-sweep", "n"))
-               else 1)
+        kind, _, low = (*SCHEMAS[command][key], 1)[:3]
         if kind is int and value < low:
             raise ValueError(f"{key} must be >= {low}, got {value}")
         floats = _betas(value) if key == "betas" else [value] if kind is float else []
@@ -355,13 +351,13 @@ def _cmd_jacobian_check(p: dict, seed: int):
 def _cmd_ksplit(p: dict, seed: int):
     cfg = _model(p, L=1, use_skip=False, use_mlp=False)
     check_budget(p["n"], p["d"])  # the tokens
-    rows = []
-    for k in range(p["trials"]):
-        x = np.random.default_rng(seed + k).standard_normal((p["n"], p["d"]))
-        trace = network_forward(x, init_network(cfg, _spec(p, p["scheme"], seed + k)), cfg)
-        rows.append(({"trial": k, "attention_scale": cfg.attention_scale}, seed + k,
-                     perturbation_split(trace, 0)))
-    return rows, True
+
+    def measure(s):
+        x = np.random.default_rng(s).standard_normal((p["n"], p["d"]))
+        trace = network_forward(x, init_network(cfg, _spec(p, p["scheme"], s)), cfg)
+        return {"attention_scale": cfg.attention_scale} | perturbation_split(trace, 0)
+
+    return _trials(p["trials"], seed, measure), True
 
 
 def _cmd_concat_bound(p: dict, seed: int):

@@ -121,16 +121,11 @@ def logits_input_jacobian(x: np.ndarray, p: np.ndarray, scale: float = 1.0) -> n
     return np.divide(out, scale, out=out)
 
 
-def attention_input_jacobian(trace: ForwardTrace, layer: int, head: int, out=None) -> np.ndarray:
-    """A' for one head, n^2 x nd, into ``out`` if given: softmax times logits Jacobian."""
-    cfg = trace.config
-    bt = trace.blocks[layer]
-    bp = trace.params.blocks[layer]
-    w_q, w_k = (split_heads(w, cfg.h)[head] for w in (bp.W_Q, bp.W_K))
-    p = w_q @ w_k.T
-    ja = softmax_jacobian(bt.sa.attention[head])
-    jm = logits_input_jacobian(bt.x_in, p, cfg.attention_scale)
-    return np.matmul(ja, jm, out=out)
+def attention_input_jacobian(a: np.ndarray, x: np.ndarray, p: np.ndarray, scale: float = 1.0,
+                             out=None) -> np.ndarray:
+    """A' = d vec(A) / d vec(X) for one head's attention A = softmax(X P X^T / scale),
+    n^2 x nd, into ``out`` if given: softmax Jacobian at A times logits Jacobian."""
+    return np.matmul(softmax_jacobian(a), logits_input_jacobian(x, p, scale), out=out)
 
 
 def sa_split(trace: ForwardTrace, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,13 +135,14 @@ def sa_split(trace: ForwardTrace, layer: int) -> tuple[np.ndarray, np.ndarray, n
     Jacobian and two n^2 x nd logits pieces are live."""
     cfg = trace.config
     _check_nd(cfg.n * cfg.d)
-    bt = trace.blocks[layer]
-    bp = trace.params.blocks[layer]
+    bt, bp = trace.blocks[layer], trace.params.blocks[layer]
     g = split_heads(bp.W_V, cfg.h) @ split_heads(bp.W_O.T, cfg.h).swapaxes(-1, -2)
     check_budget(cfg.h * cfg.n * cfg.n, cfg.n * cfg.d)
     a_prime = np.empty((cfg.h * cfg.n * cfg.n, cfg.n * cfg.d))
+    w_q, w_k = (split_heads(w, cfg.h) for w in (bp.W_Q, bp.W_K))
     for i, rows in enumerate(np.split(a_prime, cfg.h)):
-        attention_input_jacobian(trace, layer, i, out=rows)
+        attention_input_jacobian(bt.sa.attention[i], bt.x_in, w_q[i] @ w_k[i].T,
+                                 cfg.attention_scale, out=rows)
     return g, np.hstack((bt.x_in @ g).swapaxes(-1, -2)), a_prime
 
 
@@ -416,6 +412,7 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
               "block_chain_jacobian_skip": random_network(use_skip=True)}
     trace = network_forward(x0, params, cfg)
     bp = params.blocks[0]
+    p_0 = split_heads(bp.W_Q, h)[0] @ split_heads(bp.W_K, h)[0].T
 
     def error(analytic: np.ndarray, f: Callable, at: np.ndarray) -> float:
         return relative_frobenius(analytic, finite_difference_jacobian(f, at))
@@ -429,9 +426,8 @@ def fd_check_instance(n: int, d: int, h: int, layers: int, seed: int,
         "logits_input_jacobian": error(
             logits_input_jacobian(x, p, scale),
             of_tokens(lambda t: t @ p @ t.swapaxes(-1, -2) / scale), vec(x)),
-        # Layer 0, head 0.
-        "attention_input_jacobian": error(
-            attention_input_jacobian(trace, 0, 0),
+        "attention_input_jacobian": error(  # layer 0, head 0
+            attention_input_jacobian(trace.blocks[0].sa.attention[0], x0, p_0, scale),
             of_tokens(lambda t: self_attention(t, bp, cfg).attention[..., 0, :, :]),
             vec(x0)),
         "sa_input_jacobian": error(sa_input_jacobian(trace, 0),

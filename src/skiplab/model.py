@@ -12,9 +12,10 @@ by ``attention_scale``.  Heads are one tensor axis, laid out by
 :func:`split_heads` and nowhere else.
 
 :func:`network_forward` is the only walk over the layers, for one (n, d)
-sample or a (..., n, d) batch, and :func:`network_backward` its reverse twin:
-the trainer runs it on its batched trace and the loss cotangent, the parameter
-Jacobians on a sample's or a batch's trace and unit cotangents.
+sample or a (..., n, d) batch, checking each stage's output before the next
+stage reads it, and :func:`network_backward` its reverse twin: the trainer
+runs it on its batched trace and the loss cotangent, the parameter Jacobians
+on a sample's or a batch's trace and unit cotangents.
 :func:`self_attention`, :func:`mlp_forward` and :func:`attention_backward` are
 the block's only implementation.
 
@@ -270,25 +271,22 @@ def mlp_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> MLP:
     return MLP(act @ params.mlp_W2 + params.mlp_b2, pre, act, cdf)
 
 
-def block_forward(x: np.ndarray, params: BlockParams, config: ModelConfig) -> BlockTrace:
-    """One block: attention stage then MLP stage, each with an optional skip."""
-    sa = self_attention(x, params, config)
-    x_attn = x + sa.out if config.use_skip else sa.out
-    mlp, x_out = None, x_attn
-    if config.use_mlp:
-        mlp = mlp_forward(x_attn, params, config)
-        x_out = x_attn + mlp.out if config.use_skip else mlp.out
-    return BlockTrace(x_in=x, sa=sa, post_attention=x_attn, mlp=mlp, output=x_out)
+def _finite(out: np.ndarray, layer: int, stage: str) -> np.ndarray:
+    """out, or DivergenceError(layer, stage) if any entry is non-finite."""
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError(layer, stage)
+    return out
 
 
 def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) -> ForwardTrace:
     """Apply all L blocks to (..., n, d) tokens, caching every intermediate.
 
     Leading axes are a batch: every array in the trace keeps them, broadcast
-    with any stack axes of the weights (see the module docstring).  Raises
-    :class:`DivergenceError` naming the first layer whose output goes
-    non-finite (deep skipless stacks can overflow); never returns NaNs.  An
-    attention past the ``linalg`` element budget raises BudgetError first.
+    with any stack axes of the weights (see the module docstring).  Each
+    stage's output (skip included) is checked as soon as it is formed: the
+    first non-finite one raises :class:`DivergenceError` naming its layer and
+    stage, before the next stage reads it (deep skipless stacks can overflow).
+    An attention past the ``linalg`` element budget raises BudgetError first.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-2:] != (config.n, config.d):
@@ -297,15 +295,16 @@ def network_forward(x0: np.ndarray, params: NetworkParams, config: ModelConfig) 
     if len(params.blocks) != config.L:
         raise ValueError(f"{len(params.blocks)} blocks for L={config.L}")
     check_budget(x0.size // config.d * config.h, config.n)
-    traces = []
-    x = x0
+    traces, x = [], x0
     for layer, bp in enumerate(params.blocks):
-        bt = block_forward(x, bp, config)
-        for stage, out in (("attention stage", bt.post_attention), ("mlp stage", bt.output)):
-            if not np.all(np.isfinite(out)):
-                raise DivergenceError(layer, stage)
-        traces.append(bt)
-        x = bt.output
+        sa = self_attention(x, bp, config)
+        x_attn = _finite(x + sa.out if config.use_skip else sa.out, layer, "attention stage")
+        mlp, x_out = None, x_attn
+        if config.use_mlp:
+            mlp = mlp_forward(x_attn, bp, config)
+            x_out = _finite(x_attn + mlp.out if config.use_skip else mlp.out, layer, "mlp stage")
+        traces.append(BlockTrace(x_in=x, sa=sa, post_attention=x_attn, mlp=mlp, output=x_out))
+        x = x_out
     return ForwardTrace(x0=x0, blocks=traces, config=config, params=params)
 
 

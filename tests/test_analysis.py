@@ -132,8 +132,8 @@ def test_perturbation_split_is_exact_decomposition():
     bp = params.blocks[0]
     g = bp.W_V @ bp.W_O
     b = kron(g.T, trace.blocks[0].sa.attention[0])
-    e = kron((trace.blocks[0].x_in @ g).T, np.eye(8)) @ \
-        attention_input_jacobian(trace, 0, 0)
+    e = kron((trace.blocks[0].x_in @ g).T, np.eye(8)) @ attention_input_jacobian(
+        trace.blocks[0].sa.attention[0], trace.blocks[0].x_in, bp.W_Q @ bp.W_K.T, 4.0)
     k = sa_input_jacobian(trace, 0)
     assert np.linalg.norm(b + e - k) <= 1e-10 * np.linalg.norm(k)
 
@@ -173,7 +173,9 @@ def test_property_qr_reduced_e_norm_matches_dense(h, n, d_h, seed):
     for i in range(h):
         blk = slice(i * d_h, (i + 1) * d_h)
         g = bp.W_V[:, blk] @ bp.W_O[blk, :]
-        e += kron((x @ g).T, np.eye(n)) @ attention_input_jacobian(trace, 0, i)
+        p = bp.W_Q[:, blk] @ bp.W_K[:, blk].T
+        e += kron((x @ g).T, np.eye(n)) @ attention_input_jacobian(
+            trace.blocks[0].sa.attention[i], x, p, cfg.attention_scale)
     assert perturbation_split(trace, 0)["e_norm"] == pytest.approx(
         spectral_norm(e), rel=1e-10)
 
@@ -199,15 +201,17 @@ def test_perturbation_proposed_beats_default_paired():
 
 
 def test_perturbation_multihead_sums_to_full_jacobian():
+    """ksplit's kappa(K) and the profile's come from the same K bits, at one
+    head and at two."""
     from skiplab.jacobian import sa_input_jacobian
-    cfg = ModelConfig(L=1, n=6, d=16, h=2, attention_scale=2.0,
-                      use_skip=False, use_mlp=False)
-    params = init_network(cfg, InitSpec(scheme="proposed", seed=5))
-    x = np.random.default_rng(6).standard_normal((6, 16))
-    trace = network_forward(x, params, cfg)
-    r = perturbation_split(trace, 0)  # head=None sums heads
-    k = sa_input_jacobian(trace, 0)
-    assert r["kappa_K"] == pytest.approx(condition_number(k), rel=1e-9)
+    for h in (1, 2):
+        cfg = ModelConfig(L=1, n=6, d=16, h=h, attention_scale=2.0,
+                          use_skip=False, use_mlp=False)
+        params = init_network(cfg, InitSpec(scheme="proposed", seed=5))
+        x = np.random.default_rng(6).standard_normal((6, 16))
+        trace = network_forward(x, params, cfg)
+        r = perturbation_split(trace, 0)  # sums the heads
+        assert r["kappa_K"] == condition_number(sa_input_jacobian(trace, 0)), h
 
 
 # --- A.2.5 concatenation bound -------------------------------------------------
@@ -251,6 +255,25 @@ def test_sample_low_coherence_pair_shape_guard():
 
 
 # --- derivative-norm sweep -----------------------------------------------------
+
+def test_beta_sweep_a_prime_is_softmax_times_logits_jacobian(monkeypatch):
+    """The sweep's A' at each beta has the bits of softmax_jacobian(A) @
+    logits_input_jacobian(X, P, t) formed here from the sweep's own draw."""
+    import skiplab.analysis
+    from skiplab.jacobian import logits_input_jacobian, softmax_jacobian
+    seen = []
+    monkeypatch.setattr(skiplab.analysis, "spectral_norm", lambda m: seen.append(m) or 0.0)
+    n, d, alpha, betas, t = 5, 8, 2.0, [0.0, 3.0], 1.5
+    softmax_derivative_beta_sweep(n, d, alpha, betas, seed=12, temperature=t)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((n, d))
+    z = rng.standard_normal((d, d)) / np.sqrt(d)
+    assert len(seen) == len(betas)
+    for beta, got in zip(betas, seen):
+        p = alpha * z + beta * np.eye(d)
+        a = row_softmax(x @ p @ x.T, t)
+        assert np.array_equal(got, softmax_jacobian(a) @ logits_input_jacobian(x, p, t))
+
 
 def test_beta_sweep_fixed_draw_and_length():
     norms = softmax_derivative_beta_sweep(6, 16, 2.0, [0.0, 2.0, 4.0], seed=11)

@@ -365,6 +365,8 @@ _OUT_OF_RANGE = [
     (["init-report", "--d", "8", "--trials", "1", "--tokens", "1"], "tokens must be >= 2"),
     (["init-report", "--d", "1", "--trials", "1"], "d must be >= 2"),
     (["beta-sweep", "--n", "1", "--d", "4", "--trials", "1"], "n must be >= 2"),
+    (["prop1", "--n", "1", "--trials", "1"], "n must be >= 2"),
+    (["moments", "--n", "1", "--trials", "1"], "n must be >= 2"),
     (["profile", "--scale", "-2"], "scale must be >= 0"),
     (["ksplit", "--scale", "-1"], "scale must be >= 0"),
     (["train", "--scale", "-3"], "scale must be >= 0"),
@@ -410,6 +412,43 @@ def test_out_of_range_values_exit_1_naming_key(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, schema in sorted(SCHEMAS.items())
+                                          for k, entry in schema.items() if entry[0] is int])
+def test_check_ranges_reads_each_int_least_value_from_its_schema_entry(command, key):
+    """Every int flag's least value passes _check_ranges and one below it is
+    refused naming the key; the least value is the entry's third element, 1
+    where there is none."""
+    from skiplab.cli import _check_ranges
+    low = SCHEMAS[command][key][2] if len(SCHEMAS[command][key]) > 2 else 1
+    defaults = {k: entry[1] for k, entry in SCHEMAS[command].items()}
+    _check_ranges(command, defaults | {key: low})
+    with pytest.raises(ValueError, match=f"^{key} must be >= {low}, got {low - 1}$"):
+        _check_ranges(command, defaults | {key: low - 1})
+
+
+@pytest.mark.parametrize("command", ["profile", "train"])
+def test_attention_stage_overflow_stops_before_the_mlp(tmp_path, capsys, command):
+    """With --c 1e200 layer 0's attention stage overflows: profile exits 1
+    naming it, train reports a divergence at step 0, and the MLP never runs
+    on the non-finite output (no "invalid value" warning from its matmul)."""
+    out = tmp_path / "r.csv"
+    argv = [command, "--n", "4", "--d", "8", "--layers", "2", "--mlp-hidden", "8",
+            "--c", "1e200", "--out", str(out)]
+    if command == "train":
+        argv += ["--samples", "8", "--steps", "4", "--batch-size", "4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if "invalid value" in str(w.message)]
+    if command == "profile":
+        assert code == 1
+        assert "non-finite values at layer 0 (attention stage)" in capsys.readouterr().err
+    else:
+        assert code == 0
+        last = list(csv.DictReader(io.StringIO(out.read_text())))[-1]
+        assert (last["diverged"], last["diverged_step"]) == ("true", "0")
 
 
 @pytest.mark.parametrize("argv", [

@@ -176,7 +176,9 @@ def test_attention_derivative_saturated_limit():
     params = _saturated_identity_params(cfg, seed=4)
     x = np.linalg.qr(np.random.default_rng(5).standard_normal((cfg.d, cfg.n)))[0].T
     trace = network_forward(x, params, cfg)
-    a_prime = attention_input_jacobian(trace, 0, 0)
+    bp = params.blocks[0]
+    a_prime = attention_input_jacobian(trace.blocks[0].sa.attention[0], x,
+                                       bp.W_Q @ bp.W_K.T, cfg.attention_scale)
     assert spectral_norm(a_prime) < 1e-8
 
 
@@ -191,7 +193,7 @@ def test_attention_derivative_matches_fd():
         lambda v: vec(row_softmax(unvec(v, 2, 2) @ p @ unvec(v, 2, 2).swapaxes(-1, -2),
                                   1.0)),
         vec(x))
-    got = attention_input_jacobian(trace, 0, 0)
+    got = attention_input_jacobian(trace.blocks[0].sa.attention[0], x, p, 1.0)
     assert relative_frobenius(got, fd) < 1e-6
 
 

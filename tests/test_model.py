@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from skiplab.model import (BlockParams, DivergenceError, ModelConfig,
                            NetworkParams, activation_derivative,
-                           attention_backward, block_forward,
+                           attention_backward,
                            merge_heads, mlp_forward, network_backward,
                            network_forward, row_softmax,
                            self_attention, split_heads, _scipy_erf)
@@ -193,6 +193,11 @@ def test_self_attention_single_token():
                        atol=1e-14)
 
 
+def _one_block(x, bp, cfg):
+    """The trace of a one-block network_forward, its only block."""
+    return network_forward(x, NetworkParams([bp]), dataclasses.replace(cfg, L=1)).blocks[0]
+
+
 def test_block_forward_zero_weights_with_skip_is_identity():
     cfg = small_config()
     d, m = cfg.d, cfg.mlp_hidden
@@ -201,7 +206,7 @@ def test_block_forward_zero_weights_with_skip_is_identity():
                      mlp_W1=np.zeros((d, m)), mlp_b1=np.zeros(m),
                      mlp_W2=np.zeros((m, d)), mlp_b2=np.zeros(d))
     x = np.random.default_rng(14).standard_normal((cfg.n, d))
-    assert np.array_equal(block_forward(x, bp, cfg).output, x)
+    assert np.array_equal(_one_block(x, bp, cfg).output, x)
 
 
 def test_block_forward_zero_weights_without_skip():
@@ -213,7 +218,7 @@ def test_block_forward_zero_weights_without_skip():
                      mlp_W1=np.zeros((d, m)), mlp_b1=np.zeros(m),
                      mlp_W2=np.zeros((m, d)), mlp_b2=bias)
     x = np.random.default_rng(16).standard_normal((cfg.n, d))
-    out = block_forward(x, bp, cfg).output
+    out = _one_block(x, bp, cfg).output
     assert np.allclose(out, np.tile(bias, (cfg.n, 1)), atol=1e-15)
 
 
@@ -221,7 +226,7 @@ def test_block_forward_composes_attention_and_mlp():
     cfg = small_config(use_skip=False)
     params = random_params(cfg, seed=17)
     x = np.random.default_rng(18).standard_normal((cfg.n, cfg.d))
-    bt = block_forward(x, params.blocks[0], cfg)
+    bt = _one_block(x, params.blocks[0], cfg)
     sa = self_attention(x, params.blocks[0], cfg).out
     mlp = mlp_forward(sa, params.blocks[0], cfg).out
     assert np.allclose(bt.output, mlp, atol=1e-13)
@@ -231,7 +236,7 @@ def test_block_forward_mlp_bypass():
     cfg = small_config(use_mlp=False)
     params = random_params(small_config(), seed=19)
     x = np.random.default_rng(20).standard_normal((cfg.n, cfg.d))
-    bt = block_forward(x, params.blocks[0], cfg)
+    bt = _one_block(x, params.blocks[0], cfg)
     assert np.array_equal(bt.output, bt.post_attention)
     assert bt.mlp is None
 
@@ -247,9 +252,11 @@ def test_network_forward_composes_blocks():
     params = random_params(cfg, seed=21)
     x = np.random.default_rng(22).standard_normal((cfg.n, cfg.d))
     trace = network_forward(x, params, cfg)
-    step1 = block_forward(x, params.blocks[0], cfg).output
-    step2 = block_forward(step1, params.blocks[1], cfg).output
-    assert np.allclose(trace.output, step2, atol=1e-14)
+    step = x
+    for bp in params.blocks:  # the block composed by hand, skips included
+        x_attn = step + self_attention(step, bp, cfg).out
+        step = x_attn + mlp_forward(x_attn, bp, cfg).out
+    assert np.allclose(trace.output, step, atol=1e-14)
 
 
 def test_network_forward_attention_rows_stochastic():
@@ -303,6 +310,23 @@ def test_network_forward_divergence_names_layer():
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             network_forward(np.ones(shape), NetworkParams(blocks), cfg)
         assert info.value.layer == 0
+
+
+def test_attention_stage_divergence_raises_before_the_mlp_runs(monkeypatch):
+    """A non-finite attention stage raises DivergenceError(0, "attention
+    stage") as soon as it is formed: mlp_forward never reads it."""
+    import skiplab.model
+    cfg = small_config()
+    params = random_params(cfg, seed=27)
+    params.blocks[0].W_V = np.full((cfg.d, cfg.d), 1e200)
+    params.blocks[0].W_O = np.full((cfg.d, cfg.d), 1e200)
+    calls = []
+    monkeypatch.setattr(skiplab.model, "mlp_forward", lambda *args: calls.append(args))
+    x = np.random.default_rng(28).standard_normal((cfg.n, cfg.d))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        network_forward(x, params, cfg)
+    assert (info.value.layer, info.value.stage) == (0, "attention stage")
+    assert calls == []
 
 
 def test_network_forward_attention_past_budget_raises(monkeypatch):
@@ -452,7 +476,7 @@ def test_property_head_axis_equals_per_head_loop(h, d_h, n, layout, seed):
         assert np.array_equal(merge_heads(got), want)
 
     dout = rng.standard_normal((*cot, n, d))
-    pairs = attention_backward(block_forward(x, bp, cfg), bp, cfg, dout)
+    pairs = attention_backward(_one_block(x, bp, cfg), bp, cfg, dout)
     oracle = _loop_attention_backward(x, bp, cfg, dout)
     for name in ATTENTION_WEIGHTS:
         for got, want in zip(pairs[name], oracle[name]):
